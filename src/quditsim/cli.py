@@ -12,16 +12,9 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from .isolation import NegligibleTermError, TermNotFoundError, isolate_term
 from .model import EPS_ZERO, classify, reconstruct
-from .program import (
-    DEFAULT_BRANCH_CAP,
-    BranchCapExceeded,
-    effective_hamiltonian,
-    verify,
-)
+from .program import DEFAULT_BRANCH_CAP, measure, verify
 from .serialize import (
     FileFormatError,
     certificate_to_json,
@@ -64,21 +57,6 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _residual_report(program, expansion, term) -> dict:
-    system = expansion.system
-    source = reconstruct(expansion.without_offset())
-    eff = effective_hamiltonian(program, source, system)
-    target = term.matrix(system)
-    scale = float((np.sum(target.conj() * eff) / np.sum(target.conj() * target)).real)
-    norm_eff = float(np.linalg.norm(eff))
-    residual = float(np.linalg.norm(eff - scale * target) / max(norm_eff, 1e-300))
-    cosine = float(
-        (np.sum(target.conj() * eff)).real
-        / max(np.linalg.norm(target) * norm_eff, 1e-300)
-    )
-    return {"scale": scale, "relative_residual": residual, "cosine": cosine}
-
-
 def cmd_expand(args) -> int:
     expansion = parse_hamiltonian(_load_json(args.input), eps=args.eps)
     report = {"command": "expand"}
@@ -105,7 +83,8 @@ def cmd_isolate(args) -> int:
     expansion = parse_hamiltonian(_load_json(args.input), eps=args.eps)
     term = parse_term_spec(args.term, expansion.system)
     result = isolate_term(expansion, term, eps=args.eps)
-    check = _residual_report(result.program, expansion, term)
+    source = reconstruct(expansion.without_offset())
+    check = measure(result.program, source, expansion.system, term)._asdict()
     report = {
         "command": "isolate",
         "term": str(term),
@@ -136,6 +115,7 @@ def cmd_reduce(args) -> int:
     if term not in expansion.coefficients:
         raise TermNotFoundError(f"term {term} not present in the expansion")
     edges = reduce_to_two_body(expansion, term, args.anchor)
+    source = reconstruct(expansion.without_offset())
     report = {
         "command": "reduce",
         "term": str(term),
@@ -144,7 +124,7 @@ def cmd_reduce(args) -> int:
     }
     payload = {"edges": []}
     for edge in edges:
-        check = _residual_report(edge.program, expansion, edge.term)
+        check = measure(edge.program, source, expansion.system, edge.term)._asdict()
         report["edges"].append(
             {"i": edge.i, "j": edge.j, "term": str(edge.term), **check}
         )
@@ -204,7 +184,7 @@ def cmd_verify(args) -> int:
         "time": args.time,
         "errors": [[n, err] for n, err in report_data.trotter_errors],
         "order_estimate": report_data.order_estimate,
-        "best_error": report_data.effective_norm_error,
+        "best_error": report_data.best_error,
     }
     _emit(report, args)
     return EXIT_OK
@@ -308,7 +288,7 @@ def main(argv=None) -> int:
             return EXIT_NEGATIVE
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except BranchCapExceeded as exc:
+    except RuntimeError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
 

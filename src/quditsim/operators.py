@@ -247,10 +247,6 @@ class LocalUnitary:
         )
         return cls(tuple(dims), factors)
 
-    @classmethod
-    def identity(cls, dims: tuple[int, ...]) -> "LocalUnitary":
-        return cls.from_factors(tuple(dims), {})
-
     def matrix(self) -> np.ndarray:
         out = np.ones((1, 1), dtype=complex)
         for factor in self.factors:

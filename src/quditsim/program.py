@@ -19,7 +19,7 @@ group-commutator sequence with a square-root time slice.
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -98,7 +98,7 @@ SimulationProgram = Union[Native, Local, Conjugate, Sum, Commutator]
 class VerificationReport:
     """Trotter error per step count plus an empirical convergence order."""
 
-    effective_norm_error: float
+    best_error: float
     trotter_errors: tuple[tuple[int, float], ...]
     order_estimate: float
 
@@ -116,12 +116,8 @@ def effective_hamiltonian(
     if source.shape != (big_d, big_d):
         raise ValueError(f"source shape {source.shape} does not match dimension {big_d}")
     require_hermitian(source, "source Hamiltonian")
-    cache: dict[int, np.ndarray] = {}
-
-    def ev(node: SimulationProgram) -> np.ndarray:
-        hit = cache.get(id(node))
-        if hit is not None:
-            return hit
+    values: dict[int, np.ndarray] = {}
+    for node in iter_unique_nodes(program):
         if isinstance(node, Native):
             out = node.weight * source
         elif isinstance(node, Local):
@@ -130,20 +126,47 @@ def effective_hamiltonian(
             if node.unitary.dims != system.dims:
                 raise ValueError("conjugation unitary does not match the system")
             u = node.unitary.matrix()
-            out = u @ ev(node.child) @ dagger(u)
+            out = u @ values[id(node.child)] @ dagger(u)
         elif isinstance(node, Sum):
             out = np.zeros((big_d, big_d), dtype=complex)
             for w, child in node.children:
-                out = out + w * ev(child)
+                out = out + w * values[id(child)]
         elif isinstance(node, Commutator):
-            left, right = ev(node.left), ev(node.right)
+            left, right = values[id(node.left)], values[id(node.right)]
             out = 1j * (left @ right - right @ left)
         else:
             raise TypeError(f"not a program node: {node!r}")
-        cache[id(node)] = out
-        return out
+        values[id(node)] = out
+    return values[id(program)]
 
-    return ev(program)
+
+class Measurement(NamedTuple):
+    """How well a program's effective Hamiltonian matches one coupling term."""
+
+    scale: float
+    relative_residual: float
+    cosine: float
+
+
+def measure(
+    program: SimulationProgram, source: np.ndarray, system: QuditSystem, term: CouplingTerm
+) -> Measurement:
+    """Project a program's effective Hamiltonian onto a coupling term.
+
+    ``scale`` is the least-squares coefficient of the term, the residual
+    is the leftover norm relative to the effective Hamiltonian's, and the
+    cosine is that of the Hilbert-Schmidt angle between the two operators.
+    """
+    eff = effective_hamiltonian(program, source, system)
+    target = term.matrix(system)
+    scale = float((np.sum(target.conj() * eff) / np.sum(target.conj() * target)).real)
+    norm_eff = float(np.linalg.norm(eff))
+    residual = float(np.linalg.norm(eff - scale * target) / max(norm_eff, 1e-300))
+    cosine = float(
+        (np.sum(target.conj() * eff)).real
+        / max(np.linalg.norm(target) * norm_eff, 1e-300)
+    )
+    return Measurement(scale, residual, cosine)
 
 
 def graft(outer: SimulationProgram, inner: SimulationProgram) -> SimulationProgram:
@@ -152,45 +175,49 @@ def graft(outer: SimulationProgram, inner: SimulationProgram) -> SimulationProgr
     Native weights are preserved as an explicit scaling.  Rebuilding is
     memoized so subtree sharing in ``outer`` survives the substitution.
     """
-    memo: dict[int, SimulationProgram] = {}
-
-    def g(node: SimulationProgram) -> SimulationProgram:
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
+    rebuilt: dict[int, SimulationProgram] = {}
+    for node in iter_unique_nodes(outer):
         if isinstance(node, Native):
             out = inner if node.weight == 1.0 else Sum(((node.weight, inner),))
         elif isinstance(node, Local):
             out = node
         elif isinstance(node, Conjugate):
-            out = Conjugate(node.unitary, g(node.child))
+            out = Conjugate(node.unitary, rebuilt[id(node.child)])
         elif isinstance(node, Sum):
-            out = Sum(tuple((w, g(child)) for w, child in node.children))
+            out = Sum(tuple((w, rebuilt[id(child)]) for w, child in node.children))
         else:
-            out = Commutator(g(node.left), g(node.right))
-        memo[id(node)] = out
-        return out
-
-    return g(outer)
+            out = Commutator(rebuilt[id(node.left)], rebuilt[id(node.right)])
+        rebuilt[id(node)] = out
+    return rebuilt[id(outer)]
 
 
 def iter_unique_nodes(program: SimulationProgram):
-    """Yield each distinct node of a program DAG once."""
-    seen: set[int] = set()
-    stack = [program]
+    """Yield each distinct node of a program DAG once, children first.
+
+    The walk is an iterative post-order: children are visited left to
+    right (a Sum's in order, a Commutator's left before right) and every
+    node comes after all of its children.  A loop over it can therefore
+    read child results from a dict keyed by ``id``, and deep programs
+    never reach the interpreter's recursion limit.
+    """
+    done: set[int] = set()
+    stack = [(program, False)]
     while stack:
-        node = stack.pop()
-        if id(node) in seen:
+        node, expanded = stack.pop()
+        if id(node) in done:
             continue
-        seen.add(id(node))
-        yield node
+        if expanded:
+            done.add(id(node))
+            yield node
+            continue
+        stack.append((node, True))
         if isinstance(node, Conjugate):
-            stack.append(node.child)
+            stack.append((node.child, False))
         elif isinstance(node, Sum):
-            stack.extend(child for _, child in node.children)
+            stack.extend((child, False) for _, child in reversed(node.children))
         elif isinstance(node, Commutator):
-            stack.append(node.left)
-            stack.append(node.right)
+            stack.append((node.right, False))
+            stack.append((node.left, False))
 
 
 def weights_all_positive(program: SimulationProgram) -> bool:
@@ -221,24 +248,18 @@ def negate_isolated_term(term: CouplingTerm, system: QuditSystem) -> SimulationP
 
 def _count_factors(program: SimulationProgram) -> int:
     """Flat unitary-factor count for one Trotter step."""
-    memo: dict[int, int] = {}
-
-    def count(node: SimulationProgram) -> int:
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
+    counts: dict[int, int] = {}
+    for node in iter_unique_nodes(program):
         if isinstance(node, (Native, Local)):
             out = 1
         elif isinstance(node, Conjugate):
-            out = count(node.child) + 2
+            out = counts[id(node.child)] + 2
         elif isinstance(node, Sum):
-            out = sum(count(child) for _, child in node.children)
+            out = sum(counts[id(child)] for _, child in node.children)
         else:
-            out = 2 * (count(node.left) + count(node.right))
-        memo[id(node)] = out
-        return out
-
-    return count(program)
+            out = 2 * (counts[id(node.left)] + counts[id(node.right)])
+        counts[id(node)] = out
+    return counts[id(program)]
 
 
 def trotter_compile(
@@ -321,9 +342,9 @@ def verify(
     """
     eff = effective_hamiltonian(program, source, system)
     target = hermitian_exp(eff, t)
+    one_step = _count_factors(program)
     errors = []
     for steps in steps_list:
-        one_step = _count_factors(program)
         factors = trotter_compile(program, source, system, t, steps, branch_cap)
         step_product = product_unitary(factors[:one_step], system.total_dim)
         total = np.linalg.matrix_power(step_product, steps)

@@ -12,7 +12,15 @@ import numpy as np
 
 from .model import EPS_ZERO, CouplingTerm, Expansion, QuditSystem, expand
 from .operators import GellMannLabel, LocalUnitary, dagger, max_abs
-from .program import Commutator, Conjugate, Local, Native, SimulationProgram, Sum
+from .program import (
+    Commutator,
+    Conjugate,
+    Local,
+    Native,
+    SimulationProgram,
+    Sum,
+    iter_unique_nodes,
+)
 from .universality import UniversalityCertificate
 
 
@@ -146,11 +154,7 @@ def program_to_json(program: SimulationProgram) -> dict:
     """Flat node table preserving shared subtrees."""
     index: dict[int, int] = {}
     nodes: list[dict] = []
-
-    def visit(node: SimulationProgram) -> int:
-        key = id(node)
-        if key in index:
-            return index[key]
+    for node in iter_unique_nodes(program):
         if isinstance(node, Native):
             record = {"type": "native", "weight": float(node.weight)}
         elif isinstance(node, Local):
@@ -160,34 +164,30 @@ def program_to_json(program: SimulationProgram) -> dict:
                 "operator": matrix_to_json(node.operator),
             }
         elif isinstance(node, Conjugate):
-            child = visit(node.child)
             record = {
                 "type": "conjugate",
                 "unitaries": {
                     str(q): matrix_to_json(u)
                     for q, u in node.unitary.nontrivial_factors().items()
                 },
-                "child": child,
+                "child": index[id(node.child)],
             }
         elif isinstance(node, Sum):
             record = {
                 "type": "sum",
-                "children": [[float(w), visit(child)] for w, child in node.children],
+                "children": [[float(w), index[id(child)]] for w, child in node.children],
             }
         elif isinstance(node, Commutator):
             record = {
                 "type": "commutator",
-                "left": visit(node.left),
-                "right": visit(node.right),
+                "left": index[id(node.left)],
+                "right": index[id(node.right)],
             }
         else:
             raise TypeError(f"not a program node: {node!r}")
+        index[id(node)] = len(nodes)
         nodes.append(record)
-        index[key] = len(nodes) - 1
-        return index[key]
-
-    root = visit(program)
-    return {"format": "program-dag", "nodes": nodes, "root": root}
+    return {"format": "program-dag", "nodes": nodes, "root": index[id(program)]}
 
 
 def program_from_json(data: dict, system: QuditSystem) -> SimulationProgram:

@@ -11,8 +11,6 @@ qubit-only theory apply and no certificate is constructed.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .isolation import isolate_term
 from .majorization import retarget_term
 from .model import (
@@ -23,6 +21,7 @@ from .model import (
     VerdictKind,
     classify,
     expand,
+    is_entangling,
     reconstruct,
 )
 from .operators import GellMannLabel, LocalUnitary, heisenberg_weyl, max_abs
@@ -31,8 +30,8 @@ from .program import (
     Conjugate,
     SimulationProgram,
     Sum,
-    effective_hamiltonian,
     graft,
+    measure,
 )
 
 
@@ -222,21 +221,6 @@ def reduce_to_two_body(
     return edges
 
 
-def _measure_edge(
-    edge: Edge, source: np.ndarray, system: QuditSystem, tol: float = 1e-9
-) -> Edge:
-    """Verify an edge program and store its measured positive scale."""
-    eff = effective_hamiltonian(edge.program, source, system)
-    target = edge.term.matrix(system)
-    scale = float((np.sum(target.conj() * eff) / np.sum(target.conj() * target)).real)
-    resid = float(np.linalg.norm(eff - scale * target) / max(np.linalg.norm(eff), 1e-300))
-    if scale <= 0 or resid > tol:
-        raise RuntimeError(
-            f"edge ({edge.i},{edge.j}) failed verification: scale={scale:.3e}, residual={resid:.3e}"
-        )
-    return Edge(edge.i, edge.j, edge.program, edge.term, scale)
-
-
 def connect_all(expansion: Expansion) -> UniversalityCertificate:
     """Grow a verified spanning set of two-body couplings.
 
@@ -291,11 +275,18 @@ def connect_all(expansion: Expansion) -> UniversalityCertificate:
             _attach_all_qubit_term(expansion, beta, covered, qubit_link, register)
         covered |= set(beta.support)
 
-    edges = tuple(
-        _measure_edge(by_pair[pair], source, system) for pair in sorted(by_pair)
-    )
+    edges = []
+    for pair in sorted(by_pair):
+        edge = by_pair[pair]
+        scale, resid, _ = measure(edge.program, source, system, edge.term)
+        if scale <= 0 or resid > 1e-9:
+            raise RuntimeError(
+                f"edge ({edge.i},{edge.j}) failed verification: "
+                f"scale={scale:.3e}, residual={resid:.3e}"
+            )
+        edges.append(Edge(edge.i, edge.j, edge.program, edge.term, scale))
     _check_certificate(system, edges)
-    return UniversalityCertificate(anchor, edges, verdict, iterations)
+    return UniversalityCertificate(anchor, tuple(edges), verdict, iterations)
 
 
 def _attach_all_qubit_term(
@@ -345,21 +336,12 @@ def _attach_all_qubit_term(
         register(Edge(edge.i, edge.j, graft(edge.program, comm), edge.term, edge.scale))
 
 
-def _check_certificate(system: QuditSystem, edges: tuple[Edge, ...]) -> None:
-    parent = list(range(system.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _check_certificate(system: QuditSystem, edges: list[Edge]) -> None:
     for edge in edges:
         if len(set(edge.term.support)) != 2 or set(edge.term.support) != set(edge.pair):
             raise RuntimeError(f"edge ({edge.i},{edge.j}) does not couple exactly its pair")
-        parent[find(edge.i)] = find(edge.j)
-    roots = {find(q) for q in range(system.size)}
-    if len(roots) != 1:
+    spanned = Expansion(system, {edge.term: edge.scale for edge in edges})
+    if not is_entangling(spanned, range(system.size)):
         raise RuntimeError("certificate edges do not connect every qudit")
     for qubit in system.qubits():
         partners = [

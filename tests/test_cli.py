@@ -235,6 +235,22 @@ class TestVerifyCommand:
         assert code == 1
         assert "effective-Hamiltonian" in capsys.readouterr().err
 
+    def test_deep_program_exits_without_traceback(self, tmp_path, capsys):
+        path = terms_file(
+            tmp_path, "h.json", [2], [{"coeff": 1.0, "factors": {"0": "W:2"}}]
+        )
+        nodes = [{"type": "native", "weight": 1.0}]
+        nodes += [{"type": "sum", "children": [[1.0, k]]} for k in range(3000)]
+        prog_path = write_json(
+            tmp_path / "deep.json", {"format": "program-dag", "nodes": nodes, "root": 3000}
+        )
+        code = main(["verify", "-i", path, "-p", prog_path, "--steps", "4"])
+        assert code in (0, 1)
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.startswith("verification failed: ")
+            assert err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_reports_are_byte_identical(self, tmp_path, capsys):

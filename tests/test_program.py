@@ -21,7 +21,13 @@ from quditsim import (
     verify,
 )
 from quditsim.operators import LocalUnitary, dagger
-from quditsim.program import product_unitary, weights_all_positive
+from quditsim.program import (
+    _count_factors,
+    iter_unique_nodes,
+    product_unitary,
+    weights_all_positive,
+)
+from quditsim.serialize import matrix_to_json, program_to_json
 
 from helpers import rand_hermitian
 
@@ -215,9 +221,74 @@ class TestGraft:
 
     def test_preserves_sharing(self):
         shared = Native(1.0)
-        outer = Sum(((1.0, Conjugate(LocalUnitary.identity((2,)), shared)),
-                     (1.0, Conjugate(LocalUnitary.identity((2,)), shared))))
+        outer = Sum(((1.0, Conjugate(LocalUnitary.from_factors((2,), {}), shared)),
+                     (1.0, Conjugate(LocalUnitary.from_factors((2,), {}), shared))))
         inner = Local(0, PAULI_X)
         rebuilt = graft(outer, inner)
         children = [child for _, child in rebuilt.children]
         assert children[0].child is children[1].child
+
+
+def _shared_dag():
+    """A Commutator and a Sum whose children repeat, listed children first."""
+    shared = Native(1.0)
+    local = Local(0, PAULI_Z)
+    conj = Conjugate(LocalUnitary.from_factors((2, 2), {0: HADAMARD}), shared)
+    comm = Commutator(conj, local)
+    root = Sum(((1.0, comm), (2.0, shared), (0.5, comm), (1.5, local)))
+    return [shared, conj, local, comm, root]
+
+
+class TestDeepAndSharedPrograms:
+    DEPTH = 3000
+
+    def deep_chain(self):
+        """Conjugations by diag(1, e^{i theta}) stacked DEPTH times on Native."""
+        theta = 0.37
+        unit = LocalUnitary.from_factors((2,), {0: np.diag([1.0, np.exp(1j * theta)])})
+        program = Native(1.0)
+        for _ in range(self.DEPTH):
+            program = Conjugate(unit, program)
+        phase = np.exp(1j * self.DEPTH * theta)
+        expected = np.array([[0.0, np.conj(phase)], [phase, 0.0]])
+        return program, expected
+
+    def test_deep_chain_evaluates(self):
+        program, expected = self.deep_chain()
+        eff = effective_hamiltonian(program, PAULI_X, QuditSystem((2,)))
+        assert np.abs(eff - expected).max() < 1e-9
+
+    def test_deep_chain_grafts(self):
+        program, expected = self.deep_chain()
+        grafted = graft(program, Sum(((2.0, Native(1.0)),)))
+        eff = effective_hamiltonian(grafted, PAULI_X, QuditSystem((2,)))
+        assert np.abs(eff - 2.0 * expected).max() < 1e-9
+
+    def test_deep_chain_counts_factors(self):
+        program, _ = self.deep_chain()
+        assert _count_factors(program) == 1 + 2 * self.DEPTH
+
+    def test_deep_chain_serializes(self):
+        program, _ = self.deep_chain()
+        data = program_to_json(program)
+        assert data["root"] == self.DEPTH
+        assert data["nodes"][0] == {"type": "native", "weight": 1.0}
+        assert [n["child"] for n in data["nodes"][1:]] == list(range(self.DEPTH))
+
+    def test_shared_dag_node_table(self):
+        *_, root = _shared_dag()
+        assert program_to_json(root) == {
+            "format": "program-dag",
+            "nodes": [
+                {"type": "native", "weight": 1.0},
+                {"type": "conjugate", "unitaries": {"0": matrix_to_json(HADAMARD)}, "child": 0},
+                {"type": "local", "qudit": 0, "operator": matrix_to_json(PAULI_Z)},
+                {"type": "commutator", "left": 1, "right": 2},
+                {"type": "sum", "children": [[1.0, 3], [2.0, 0], [0.5, 3], [1.5, 2]]},
+            ],
+            "root": 4,
+        }
+
+    def test_nodes_come_after_their_children(self):
+        nodes = _shared_dag()
+        assert [id(n) for n in iter_unique_nodes(nodes[-1])] == [id(n) for n in nodes]
