@@ -35,6 +35,7 @@ from .operators import (
     heisenberg_weyl,
     level_permutation,
     level_sign_flip,
+    twirl,
 )
 from .program import (
     Commutator,
@@ -111,7 +112,7 @@ def precondition(
     index); off-diagonal factors share the spectrum of ``W:2`` and are
     rotated onto it, eigenvalues sorted descending with ties keeping the
     eigensolver's order.  The conjugated expansion is recovered by a dense
-    round trip, which is exact at this scale.
+    round trip through one local twirl, which is exact at this scale.
     """
     if target not in expansion.coefficients:
         raise TermNotFoundError(f"term {target} not present in the expansion")
@@ -127,8 +128,7 @@ def precondition(
         spec = spectrum(gellmann_matrix(d, label))
         factors[qudit] = _descending_w_frame(d, 2) @ dagger(spec.vectors)
     conjugation = LocalUnitary.from_factors(system.dims, factors)
-    u = conjugation.matrix()
-    rotated = expand(u @ reconstruct(expansion) @ dagger(u), system)
+    rotated = expand(twirl(reconstruct(expansion), system.dims, [(1.0, conjugation)]), system)
     return CanonicalTarget(conjugation, cartan), rotated
 
 

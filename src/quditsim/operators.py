@@ -13,6 +13,7 @@ Conventions used throughout the package:
   Hilbert-Schmidt norm, ``tr(G G) = 1``.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -224,15 +225,24 @@ def hermitian_exp(ham: np.ndarray, t: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LocalUnitary:
-    """A product unitary ``U_1 x U_2 x ... x U_n`` with one factor per qudit."""
+    """A product unitary on a multi-qudit system, stored by its non-identity factors.
+
+    ``placed`` holds ``(qudit, matrix)`` pairs sorted by qudit; every other
+    qudit carries the identity.
+    """
 
     dims: tuple[int, ...]
-    factors: tuple[np.ndarray, ...]
+    placed: tuple[tuple[int, np.ndarray], ...] = ()
 
     def __post_init__(self):
-        if len(self.factors) != len(self.dims):
-            raise ValueError("need exactly one unitary factor per qudit")
-        for j, (d, u) in enumerate(zip(self.dims, self.factors)):
+        previous = -1
+        for j, u in self.placed:
+            if not previous < j < len(self.dims):
+                raise ValueError(
+                    f"factor qudits must be increasing and below {len(self.dims)}, got {j}"
+                )
+            previous = j
+            d = self.dims[j]
             if u.shape != (d, d):
                 raise ValueError(f"factor {j} has shape {u.shape}, expected ({d}, {d})")
             if not is_unitary(u):
@@ -242,24 +252,143 @@ class LocalUnitary:
     def from_factors(
         cls, dims: tuple[int, ...], placed: dict[int, np.ndarray]
     ) -> "LocalUnitary":
-        factors = tuple(
-            placed.get(j, np.eye(d, dtype=complex)) for j, d in enumerate(dims)
-        )
-        return cls(tuple(dims), factors)
+        """Product of per-qudit factors; factors within 1e-14 of the identity are dropped."""
+        dims = tuple(dims)
+        kept = []
+        for j, u in sorted(placed.items()):
+            trivial = (
+                0 <= j < len(dims)
+                and u.shape == (dims[j], dims[j])
+                and max_abs(u - np.eye(dims[j])) <= 1e-14
+            )
+            if not trivial:
+                kept.append((j, u))
+        return cls(dims, tuple(kept))
 
     def matrix(self) -> np.ndarray:
-        out = np.ones((1, 1), dtype=complex)
-        for factor in self.factors:
-            out = np.kron(out, factor)
-        return out
+        return embed(self.dims, dict(self.placed))
 
     def inverse(self) -> "LocalUnitary":
-        return LocalUnitary(self.dims, tuple(dagger(u) for u in self.factors))
+        return LocalUnitary(self.dims, tuple((j, dagger(u)) for j, u in self.placed))
 
     def nontrivial_factors(self) -> dict[int, np.ndarray]:
         """Factors that differ from the identity (used by serialization)."""
-        out = {}
-        for j, (d, u) in enumerate(zip(self.dims, self.factors)):
-            if max_abs(u - np.eye(d)) > 1e-14:
-                out[j] = u
-        return out
+        return dict(self.placed)
+
+
+def twirl(op: np.ndarray, dims: tuple[int, ...], branches) -> np.ndarray:
+    """Weighted conjugation sum ``sum_k w_k U_k op U_k†`` over local unitaries.
+
+    ``branches`` holds ``(w_k, U_k)`` pairs, each ``U_k`` a ``LocalUnitary``
+    on ``dims``.  The sum acts on the qudits the branches touch as the
+    superoperator ``sum_k w_k U_k (x) conj(U_k)`` (the Pauli-transfer view
+    of a twirl) and on no other qudit.  Qudits over which the branch table
+    is a product (a full group twirl, a single conjugation, a factor-wise
+    retargeting) get a ``d^2 x d^2`` superoperator each; the remaining
+    qudits share one, unless conjugating branch by branch is cheaper.
+    """
+    dims = tuple(dims)
+    sites = sorted({j for _, unitary in branches for j, _ in unitary.placed})
+    factors: dict[bytes | None, np.ndarray | None] = {}
+    table: dict[tuple, float] = {}
+    for w, unitary in branches:
+        if unitary.dims != dims:
+            raise ValueError("conjugation unitary does not match the system")
+        placed = dict(unitary.placed)
+        row = []
+        for j in sites:
+            u = placed.get(j)
+            key = None if u is None else u.tobytes()
+            factors[key] = u
+            row.append(key)
+        table[tuple(row)] = table.get(tuple(row), 0.0) + w
+    if not table:
+        return np.zeros(op.shape, dtype=complex)
+
+    def stack(j, keys):
+        eye = np.eye(dims[j], dtype=complex)
+        return np.stack([eye if key is None else factors[key] for key in keys])
+
+    rows, weights = list(table), np.array(list(table.values()))
+    t = op.reshape(dims + dims)
+    joint, col = [], 0
+    for j in sites:
+        split = _split_column(rows, weights, col)
+        if split is None:
+            joint.append(j)
+            col += 1
+            continue
+        heads, head_weights, rows, weights = split
+        t = _apply_superop(t, (j,), _superop([stack(j, heads)], head_weights))
+    if not joint:
+        return weights[0] * t.reshape(op.shape)
+
+    big_d2 = op.shape[0] ** 2
+    d_joint = math.prod(dims[j] for j in joint)
+    fused_cost = len(rows) * d_joint**4 + d_joint**2 * big_d2
+    branchwise_cost = len(rows) * sum(dims[j] ** 2 for j in joint) * big_d2
+    if fused_cost <= branchwise_cost:
+        columns = [stack(j, [row[c] for row in rows]) for c, j in enumerate(joint)]
+        return _apply_superop(t, tuple(joint), _superop(columns, weights)).reshape(op.shape)
+    out = np.zeros(op.shape, dtype=complex)
+    for row, w in zip(rows, weights):
+        term = t
+        for j, key in zip(joint, row):
+            if key is not None:
+                term = _apply_superop(term, (j,), _superop([stack(j, [key])], np.ones(1)))
+        out += w * term.reshape(op.shape)
+    return out
+
+
+def _split_column(rows: list[tuple], weights: np.ndarray, col: int):
+    """Factor a branch table as (column ``col``) x (the other columns).
+
+    ``rows`` are distinct tuples of factor keys with ``weights``.  Returns
+    the column's keys and weights plus the reduced table, normalised so
+    its weights sum to one, or ``None`` when the table is not such a
+    product.
+    """
+    heads: dict = {}
+    tails: dict = {}
+    grid_cells = []
+    for row, w in zip(rows, weights):
+        a = heads.setdefault(row[col], len(heads))
+        b = tails.setdefault(row[:col] + row[col + 1 :], len(tails))
+        grid_cells.append((a, b, w))
+    if len(grid_cells) != len(heads) * len(tails):
+        return None
+    grid = np.zeros((len(heads), len(tails)))
+    for a, b, w in grid_cells:
+        grid[a, b] = w
+    head_weights = grid.sum(axis=1)
+    total = head_weights.sum()
+    if total == 0.0:
+        return None
+    tail_weights = grid.sum(axis=0) / total
+    if max_abs(grid - np.outer(head_weights, tail_weights)) > 1e-13 * max_abs(grid):
+        return None
+    return list(heads), head_weights, list(tails), tail_weights
+
+
+def _superop(columns: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """``sum_k w_k U_k (x) conj(U_k)`` for ``U_k`` the product of ``columns[s][k]``.
+
+    Rows index ``(i, j)`` and columns ``(a, b)`` of ``U[i, a] conj(U[j, b])``.
+    """
+    u = columns[0]
+    for f in columns[1:]:
+        k, a, c = len(u), u.shape[1], f.shape[1]
+        u = np.einsum("kab,kcd->kacbd", u, f).reshape(k, a * c, a * c)
+    d = u.shape[1]
+    m = np.tensordot(weights[:, None, None] * u, u.conj(), axes=(0, 0))
+    return m.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _apply_superop(t: np.ndarray, sites: tuple[int, ...], m: np.ndarray) -> np.ndarray:
+    """Apply a superoperator on ``sites`` to an operator with axes ``dims + dims``."""
+    n = t.ndim // 2
+    front = list(sites) + [n + j for j in sites]
+    perm = front + [a for a in range(2 * n) if a not in front]
+    moved = t.transpose(perm)
+    out = (m @ moved.reshape(m.shape[1], -1)).reshape(moved.shape)
+    return out.transpose(np.argsort(perm))

@@ -31,6 +31,7 @@ from .operators import (
     heisenberg_weyl,
     hermitian_exp,
     require_hermitian,
+    twirl,
 )
 
 DEFAULT_BRANCH_CAP = 4096
@@ -55,8 +56,8 @@ class Native:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not self.weight > 0:
-            raise ValueError("native weight must be strictly positive")
+        if not 0 < self.weight < math.inf:
+            raise ValueError("native weight must be finite and strictly positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +82,8 @@ class Sum:
     children: tuple[tuple[float, "SimulationProgram"], ...]
 
     def __post_init__(self):
-        if any(not w > 0 for w, _ in self.children):
-            raise ValueError("sum weights must be strictly positive")
+        if any(not 0 < w < math.inf for w, _ in self.children):
+            raise ValueError("sum weights must be finite and strictly positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,35 +110,54 @@ def effective_hamiltonian(
     """Evaluate a program's effective Hamiltonian on a dense source.
 
     Shared subtrees are evaluated once (results memoized by node
-    identity); isolation pipelines rely on this, since their twirl stages
-    put hundreds of conjugation branches around one shared child.
+    identity).  A conjugation is held as a pending (unitary, child) pair;
+    a Sum groups its children by the node under their conjugations and
+    applies each group as one local twirl, so the hundreds of branches of
+    an isolation stage around one shared child cost one superoperator.
+    A pending conjugation is applied on its own only when a commutator,
+    another conjugation or the caller consumes it.
     """
     big_d = system.total_dim
     if source.shape != (big_d, big_d):
         raise ValueError(f"source shape {source.shape} does not match dimension {big_d}")
     require_hermitian(source, "source Hamiltonian")
+    dims = system.dims
+    identity = LocalUnitary(dims)
     values: dict[int, np.ndarray] = {}
+    pending: dict[int, tuple[LocalUnitary, SimulationProgram]] = {}
+
+    def force(node: SimulationProgram) -> np.ndarray:
+        if id(node) in pending:
+            unitary, child = pending.pop(id(node))
+            values[id(node)] = twirl(values[id(child)], dims, [(1.0, unitary)])
+        return values[id(node)]
+
     for node in iter_unique_nodes(program):
+        if isinstance(node, Conjugate):
+            if node.unitary.dims != dims:
+                raise ValueError("conjugation unitary does not match the system")
+            force(node.child)
+            pending[id(node)] = (node.unitary, node.child)
+            continue
         if isinstance(node, Native):
             out = node.weight * source
         elif isinstance(node, Local):
-            out = embed(system.dims, {node.qudit: node.operator})
-        elif isinstance(node, Conjugate):
-            if node.unitary.dims != system.dims:
-                raise ValueError("conjugation unitary does not match the system")
-            u = node.unitary.matrix()
-            out = u @ values[id(node.child)] @ dagger(u)
+            out = embed(dims, {node.qudit: node.operator})
         elif isinstance(node, Sum):
-            out = np.zeros((big_d, big_d), dtype=complex)
+            groups: dict[int, tuple[SimulationProgram, list]] = {}
             for w, child in node.children:
-                out = out + w * values[id(child)]
+                unitary, base = pending.get(id(child), (identity, child))
+                groups.setdefault(id(base), (base, []))[1].append((w, unitary))
+            out = np.zeros((big_d, big_d), dtype=complex)
+            for base, branches in groups.values():
+                out += twirl(values[id(base)], dims, branches)
         elif isinstance(node, Commutator):
-            left, right = values[id(node.left)], values[id(node.right)]
+            left, right = force(node.left), force(node.right)
             out = 1j * (left @ right - right @ left)
         else:
             raise TypeError(f"not a program node: {node!r}")
         values[id(node)] = out
-    return values[id(program)]
+    return force(program)
 
 
 class Measurement(NamedTuple):
@@ -286,36 +306,48 @@ def trotter_compile(
     if required > branch_cap:
         raise BranchCapExceeded(required, branch_cap)
     dims = system.dims
-
-    def evolve(node: SimulationProgram, tau: float) -> list[np.ndarray]:
-        if isinstance(node, Native):
-            return [hermitian_exp(source, node.weight * tau)]
-        if isinstance(node, Local):
-            return [hermitian_exp(embed(dims, {node.qudit: node.operator}), tau)]
-        if isinstance(node, Conjugate):
-            u = node.unitary.matrix()
-            return [dagger(u)] + evolve(node.child, tau) + [u]
-        if isinstance(node, Sum):
-            out = []
-            for w, child in node.children:
-                out.extend(evolve(child, w * tau))
-            return out
-        if isinstance(node, Commutator):
+    # Exponentials and conjugation matrices are shared between the places
+    # a node recurs at the same time slice (the branches of a twirl).
+    exps: dict[tuple[int, float], np.ndarray] = {}
+    conjugations: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    out: list[np.ndarray] = []
+    # Work items are a (node, time) pair to expand or a bare factor to emit,
+    # popped last-in first-out, so children are pushed in reverse.
+    work: list = [(program, t / steps)]
+    while work:
+        item = work.pop()
+        if isinstance(item, np.ndarray):
+            out.append(item)
+            continue
+        node, tau = item
+        if isinstance(node, (Native, Local)):
+            key = (id(node), tau)
+            if key not in exps:
+                if isinstance(node, Native):
+                    exps[key] = hermitian_exp(source, node.weight * tau)
+                else:
+                    exps[key] = hermitian_exp(embed(dims, {node.qudit: node.operator}), tau)
+            out.append(exps[key])
+        elif isinstance(node, Conjugate):
+            if id(node) not in conjugations:
+                u = node.unitary.matrix()
+                conjugations[id(node)] = (dagger(u), u)
+            u_dag, u = conjugations[id(node)]
+            work += [u, (node.child, tau), u_dag]
+        elif isinstance(node, Sum):
+            work += [(child, w * tau) for w, child in reversed(node.children)]
+        elif isinstance(node, Commutator):
             if tau == 0.0:
-                return []
+                continue
+            left, right = node.left, node.right
             if tau < 0.0:
                 # i[R, L] = -i[L, R]: swapping operands evolves backwards.
-                return evolve(Commutator(node.right, node.left), -tau)
+                left, right, tau = right, left, -tau
             delta = math.sqrt(tau)
-            return (
-                evolve(node.right, delta)
-                + evolve(node.left, -delta)
-                + evolve(node.right, -delta)
-                + evolve(node.left, delta)
-            )
-        raise TypeError(f"not a program node: {node!r}")
-
-    return evolve(program, t / steps) * steps
+            work += [(left, delta), (right, -delta), (left, -delta), (right, delta)]
+        else:
+            raise TypeError(f"not a program node: {node!r}")
+    return out * steps
 
 
 def product_unitary(factors: list[np.ndarray], dim: int) -> np.ndarray:

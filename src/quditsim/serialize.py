@@ -8,6 +8,8 @@ subtrees shared between twirl branches are written once; node types are
 tagged native | local | conjugate | sum | commutator.
 """
 
+import math
+
 import numpy as np
 
 from .model import EPS_ZERO, CouplingTerm, Expansion, QuditSystem, expand
@@ -39,6 +41,18 @@ def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
         raise FileFormatError(f"{what} must be nested [re, im] pairs: {exc}") from exc
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise FileFormatError(f"{what} must be square, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise FileFormatError(f"{what} has non-finite entries")
+    return out
+
+
+def _finite_from_json(value, what: str) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"bad {what} {value!r}") from exc
+    if not math.isfinite(out):
+        raise FileFormatError(f"{what} must be finite, got {value!r}")
     return out
 
 
@@ -78,8 +92,10 @@ def parse_hamiltonian(data: dict, eps: float = EPS_ZERO) -> Expansion:
     dims = data.get("dims")
     if not isinstance(dims, list) or not dims:
         raise FileFormatError("missing or empty 'dims' list")
+    if any(isinstance(d, bool) or not isinstance(d, int) for d in dims):
+        raise FileFormatError(f"'dims' must list integers, got {dims!r}")
     try:
-        system = QuditSystem(tuple(int(d) for d in dims))
+        system = QuditSystem(tuple(dims))
     except (TypeError, ValueError) as exc:
         raise FileFormatError(str(exc)) from exc
 
@@ -109,10 +125,9 @@ def parse_hamiltonian(data: dict, eps: float = EPS_ZERO) -> Expansion:
     for entry in terms:
         if not isinstance(entry, dict) or "coeff" not in entry or "factors" not in entry:
             raise FileFormatError(f"term entry {entry!r} needs 'coeff' and 'factors'")
-        try:
-            coeff = float(entry["coeff"])
-        except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"bad coefficient {entry['coeff']!r}") from exc
+        coeff = _finite_from_json(entry["coeff"], "coefficient")
+        if not isinstance(entry["factors"], dict):
+            raise FileFormatError(f"'factors' must be an object, got {entry['factors']!r}")
         factors = {}
         for key, label_text in entry["factors"].items():
             try:
@@ -129,7 +144,7 @@ def parse_hamiltonian(data: dict, eps: float = EPS_ZERO) -> Expansion:
         except ValueError as exc:
             raise FileFormatError(str(exc)) from exc
         coefficients[term] = coefficients.get(term, 0.0) + coeff
-    offset = float(data.get("trace_offset", 0.0))
+    offset = _finite_from_json(data.get("trace_offset", 0.0), "trace_offset")
     # Keep tiny coefficients the file spells out explicitly; only exact
     # zeros are dropped.  Downstream thresholds report their own errors.
     coefficients = {t: h for t, h in coefficients.items() if h != 0.0}
@@ -205,6 +220,8 @@ def program_from_json(data: dict, system: QuditSystem) -> SimulationProgram:
         return built[value]
 
     for record in records:
+        if not isinstance(record, dict):
+            raise FileFormatError(f"program node {record!r} must be an object")
         kind = record.get("type")
         try:
             if kind == "native":
@@ -212,6 +229,8 @@ def program_from_json(data: dict, system: QuditSystem) -> SimulationProgram:
             elif kind == "local":
                 node = Local(int(record["qudit"]), matrix_from_json(record["operator"]))
             elif kind == "conjugate":
+                if not isinstance(record["unitaries"], dict):
+                    raise FileFormatError(f"'unitaries' must be an object in {record!r}")
                 placed = {
                     int(q): matrix_from_json(mat, f"unitary on qudit {q}")
                     for q, mat in record["unitaries"].items()

@@ -3,9 +3,14 @@
 import numpy as np
 
 from quditsim import (
+    Commutator,
+    Conjugate,
     CouplingTerm,
     Expansion,
     GellMannLabel,
+    Local,
+    Native,
+    Sum,
     effective_hamiltonian,
     reconstruct,
 )
@@ -68,6 +73,46 @@ def cosine(a, b):
 def rel_residual(actual, expected):
     scale = max(np.linalg.norm(expected), np.linalg.norm(actual), 1e-300)
     return float(np.linalg.norm(actual - expected) / scale)
+
+
+def kron_unitary(unitary):
+    """Dense matrix of a LocalUnitary, one np.kron per qudit."""
+    placed = unitary.nontrivial_factors()
+    out = np.ones((1, 1), dtype=complex)
+    for j, d in enumerate(unitary.dims):
+        out = np.kron(out, placed.get(j, np.eye(d, dtype=complex)))
+    return out
+
+
+def dense_effective_hamiltonian(program, source, system):
+    """Reference evaluator: every conjugation as a dense ``U @ X @ U†``.
+
+    Recursive and memoized by node identity, so it suits the shallow
+    programs it checks ``effective_hamiltonian`` against.
+    """
+    memo = {}
+
+    def ev(node):
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, Native):
+            out = node.weight * source
+        elif isinstance(node, Local):
+            out = np.ones((1, 1), dtype=complex)
+            for j, d in enumerate(system.dims):
+                out = np.kron(out, node.operator if j == node.qudit else np.eye(d))
+        elif isinstance(node, Conjugate):
+            u = kron_unitary(node.unitary)
+            out = u @ ev(node.child) @ u.conj().T
+        elif isinstance(node, Sum):
+            out = sum(w * ev(child) for w, child in node.children)
+        elif isinstance(node, Commutator):
+            left, right = ev(node.left), ev(node.right)
+            out = 1j * (left @ right - right @ left)
+        memo[id(node)] = out
+        return out
+
+    return ev(program)
 
 
 def run_staged_pipeline(expansion, target):

@@ -252,6 +252,113 @@ class TestVerifyCommand:
             assert err.count("\n") == 1
 
 
+    def test_deep_program_reports_trotter_errors(self, tmp_path, capsys):
+        path = terms_file(
+            tmp_path, "h.json", [2], [{"coeff": 1.0, "factors": {"0": "W:2"}}]
+        )
+        nodes = [{"type": "native", "weight": 1.0}]
+        nodes += [{"type": "sum", "children": [[1.0, k]]} for k in range(3000)]
+        prog_path = write_json(
+            tmp_path / "deep.json", {"format": "program-dag", "nodes": nodes, "root": 3000}
+        )
+        code = main(["verify", "-i", path, "-p", prog_path, "--steps", "4,8"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [n for n, _ in report["errors"]] == [4, 8]
+        assert all(err < 1e-12 for _, err in report["errors"])
+
+
+def _assert_input_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert err.count("\n") == 1
+
+
+class TestMalformedInputs:
+    """Malformed files exit 2 with a one-line message, never a traceback."""
+
+    XX = {"0": "X:1:2", "1": "X:1:2"}
+
+    def test_factors_given_as_list(self, tmp_path, capsys):
+        path = terms_file(tmp_path, "h.json", [2, 2], [{"coeff": 1.0, "factors": ["X:1:2"]}])
+        _assert_input_error(capsys, ["classify", "-i", path])
+
+    def test_non_finite_coefficient(self, tmp_path, capsys):
+        for value in (float("nan"), float("inf")):
+            path = terms_file(tmp_path, "h.json", [2, 2], [{"coeff": value, "factors": self.XX}])
+            _assert_input_error(capsys, ["classify", "-i", path])
+
+    def test_non_finite_trace_offset(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "h.json",
+            {
+                "dims": [2, 2],
+                "terms": [{"coeff": 1.0, "factors": self.XX}],
+                "trace_offset": float("inf"),
+            },
+        )
+        _assert_input_error(capsys, ["classify", "-i", path])
+
+    def test_non_integer_dims(self, tmp_path, capsys):
+        for dims in ([2.7, 2], [2.0, 2], ["2", 2], [True, 2]):
+            path = terms_file(tmp_path, "h.json", dims, [{"coeff": 1.0, "factors": self.XX}])
+            _assert_input_error(capsys, ["classify", "-i", path])
+
+    def verify_program(self, tmp_path, capsys, program):
+        path = terms_file(
+            tmp_path, "h.json", [2], [{"coeff": 1.0, "factors": {"0": "W:2"}}]
+        )
+        prog_path = write_json(tmp_path / "prog.json", program)
+        _assert_input_error(capsys, ["verify", "-i", path, "-p", prog_path])
+
+    def test_non_object_program_node(self, tmp_path, capsys):
+        self.verify_program(
+            tmp_path, capsys, {"format": "program-dag", "nodes": [5], "root": 0}
+        )
+
+    def test_non_finite_native_weight(self, tmp_path, capsys):
+        nodes = [{"type": "native", "weight": float("inf")}]
+        self.verify_program(
+            tmp_path, capsys, {"format": "program-dag", "nodes": nodes, "root": 0}
+        )
+
+    def test_non_finite_sum_weight(self, tmp_path, capsys):
+        nodes = [
+            {"type": "native", "weight": 1.0},
+            {"type": "sum", "children": [[float("nan"), 0]]},
+        ]
+        self.verify_program(
+            tmp_path, capsys, {"format": "program-dag", "nodes": nodes, "root": 1}
+        )
+
+    def test_unitaries_given_as_list(self, tmp_path, capsys):
+        nodes = [
+            {"type": "native", "weight": 1.0},
+            {"type": "conjugate", "unitaries": [], "child": 0},
+        ]
+        self.verify_program(
+            tmp_path, capsys, {"format": "program-dag", "nodes": nodes, "root": 1}
+        )
+
+    def test_non_finite_matrix_entry(self, tmp_path, capsys):
+        nan_z = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+        nodes = [{"type": "local", "qudit": 0, "operator": nan_z}]
+        self.verify_program(
+            tmp_path, capsys, {"format": "program-dag", "nodes": nodes, "root": 0}
+        )
+
+    def test_unitary_on_missing_qudit(self, tmp_path, capsys):
+        x = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+        nodes = [
+            {"type": "native", "weight": 1.0},
+            {"type": "conjugate", "unitaries": {"3": x}, "child": 0},
+        ]
+        self.verify_program(
+            tmp_path, capsys, {"format": "program-dag", "nodes": nodes, "root": 1}
+        )
+
+
 class TestDeterminism:
     def test_reports_are_byte_identical(self, tmp_path, capsys):
         path = demo_input(tmp_path)

@@ -13,9 +13,9 @@ from quditsim import (
     level_permutation,
     level_sign_flip,
 )
-from quditsim.operators import LocalUnitary, dagger, hs_inner, is_unitary
+from quditsim.operators import LocalUnitary, dagger, hs_inner, is_unitary, twirl
 
-from helpers import rand_hermitian, rand_traceless
+from helpers import kron_unitary, rand_hermitian, rand_traceless
 
 W = GellMannLabel.w
 X = GellMannLabel.x
@@ -226,3 +226,120 @@ class TestLocalUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             LocalUnitary.from_factors((2,), {0: np.array([[1.0, 1.0], [0.0, 1.0]])})
+
+    def test_drops_identity_factors(self):
+        rng = np.random.default_rng(9)
+        u = hermitian_exp(rand_hermitian(rng, 2), 0.4)
+        near_identity = np.eye(3, dtype=complex) + 1e-15
+        lu = LocalUnitary.from_factors(
+            (2, 3, 3), {2: np.eye(3, dtype=complex), 1: near_identity, 0: u}
+        )
+        assert [j for j, _ in lu.placed] == [0]
+        assert LocalUnitary.from_factors((2, 2), {1: np.eye(2)}).placed == ()
+
+    def test_matrix_is_kron_of_factors(self):
+        rng = np.random.default_rng(10)
+        dims = (2, 3, 2)
+        placed = {j: hermitian_exp(rand_hermitian(rng, dims[j]), 0.3) for j in (2, 0)}
+        lu = LocalUnitary.from_factors(dims, placed)
+        expected = np.kron(np.kron(placed[0], np.eye(3)), placed[2])
+        assert np.abs(lu.matrix() - expected).max() < 1e-15
+        assert [j for j, _ in lu.placed] == [0, 2]
+
+    def test_nontrivial_factors_and_inverse(self):
+        rng = np.random.default_rng(11)
+        u = hermitian_exp(rand_hermitian(rng, 3), 0.9)
+        lu = LocalUnitary.from_factors((2, 3), {0: np.eye(2), 1: u})
+        factors = lu.nontrivial_factors()
+        assert list(factors) == [1] and factors[1] is u
+        inverse = lu.inverse()
+        assert list(inverse.nontrivial_factors()) == [1]
+        assert np.abs(inverse.nontrivial_factors()[1] - dagger(u)).max() == 0.0
+        assert np.abs(inverse.matrix() @ lu.matrix() - np.eye(6)).max() < 1e-12
+
+    def test_rejects_bad_placement(self):
+        with pytest.raises(ValueError):
+            LocalUnitary.from_factors((2, 2), {2: np.eye(2)})
+        with pytest.raises(ValueError):
+            LocalUnitary.from_factors((2, 2), {0: np.eye(3)})
+
+
+def _dense_twirl(op, branches):
+    out = np.zeros(op.shape, dtype=complex)
+    for w, unitary in branches:
+        u = kron_unitary(unitary)
+        out += w * (u @ op @ dagger(u))
+    return out
+
+
+class TestTwirlKernel:
+    """twirl against one dense U @ op @ U† per branch."""
+
+    def unitary(self, rng, dims, sites):
+        return LocalUnitary.from_factors(
+            dims, {j: hermitian_exp(rand_hermitian(rng, dims[j]), 1.0) for j in sites}
+        )
+
+    def check(self, dims, branches, rng):
+        op = rand_hermitian(rng, int(np.prod(dims)))
+        got = twirl(op, dims, branches)
+        expected = _dense_twirl(op, branches)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_single_conjugation(self):
+        rng = np.random.default_rng(20)
+        dims = (3, 2, 2)
+        self.check(dims, [(1.0, self.unitary(rng, dims, (0, 2)))], rng)
+
+    def test_product_weights_split_per_qudit(self):
+        rng = np.random.default_rng(21)
+        dims = (2, 3, 2)
+        per_site = {
+            j: [(float(rng.uniform(0.1, 1)), hermitian_exp(rand_hermitian(rng, dims[j]), 1.0))
+                for _ in range(3)]
+            for j in (0, 1)
+        }
+        branches = [
+            (wa * wb, LocalUnitary.from_factors(dims, {0: ua, 1: ub}))
+            for wa, ua in per_site[0]
+            for wb, ub in per_site[1]
+        ]
+        self.check(dims, branches, rng)
+
+    def test_joint_block(self):
+        rng = np.random.default_rng(22)
+        dims = (3, 3, 2, 2)
+        branches = [
+            (float(rng.uniform(0.1, 1)), self.unitary(rng, dims, (0, 1))) for _ in range(10)
+        ]
+        branches.append((2.0, LocalUnitary(dims)))
+        self.check(dims, branches, rng)
+
+    def test_branch_by_branch(self):
+        rng = np.random.default_rng(23)
+        dims = (2, 2, 2)
+        branches = [(float(rng.uniform(0.1, 1)), self.unitary(rng, dims, (0, 1, 2)))
+                    for _ in range(4)]
+        self.check(dims, branches, rng)
+
+    def test_depolarizing_group_twirl(self):
+        rng = np.random.default_rng(24)
+        dims = (3, 2)
+        groups = [heisenberg_weyl(3), heisenberg_weyl(2)]
+        branches = [
+            (1.0, LocalUnitary.from_factors(dims, {0: a, 1: b}))
+            for a in groups[0]
+            for b in groups[1]
+        ]
+        op = rand_hermitian(rng, 6)
+        expected = 36 * np.trace(op) / 6 * np.eye(6)
+        assert np.abs(twirl(op, dims, branches) - expected).max() < 1e-11
+
+    def test_identity_branches_only_scale(self):
+        op = rand_hermitian(np.random.default_rng(25), 4)
+        got = twirl(op, (2, 2), [(0.5, LocalUnitary((2, 2))), (1.5, LocalUnitary((2, 2)))])
+        assert np.abs(got - 2.0 * op).max() < 1e-15
+
+    def test_rejects_mismatched_dims(self):
+        with pytest.raises(ValueError):
+            twirl(np.eye(4), (2, 2), [(1.0, LocalUnitary((4,)))])

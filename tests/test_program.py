@@ -1,7 +1,11 @@
 """Program IR semantics, negation, Trotter compilation and verification."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditsim import (
     BranchCapExceeded,
@@ -29,7 +33,7 @@ from quditsim.program import (
 )
 from quditsim.serialize import matrix_to_json, program_to_json
 
-from helpers import rand_hermitian
+from helpers import dense_effective_hamiltonian, rand_hermitian
 
 W = GellMannLabel.w
 X = GellMannLabel.x
@@ -292,3 +296,159 @@ class TestDeepAndSharedPrograms:
     def test_nodes_come_after_their_children(self):
         nodes = _shared_dag()
         assert [id(n) for n in iter_unique_nodes(nodes[-1])] == [id(n) for n in nodes]
+
+
+def _rand_unitary(rng, d):
+    return hermitian_exp(rand_hermitian(rng, d), 1.0)
+
+
+def _rand_local_unitary(rng, dims, min_sites=0):
+    """Random product unitary on a random subset of qudits (possibly none)."""
+    count = int(rng.integers(min_sites, len(dims) + 1))
+    sites = rng.choice(len(dims), size=count, replace=False)
+    return LocalUnitary.from_factors(dims, {int(j): _rand_unitary(rng, dims[j]) for j in sites})
+
+
+def _rand_local(rng, dims):
+    j = int(rng.integers(len(dims)))
+    h = rand_hermitian(rng, dims[j])
+    return Local(j, h / np.linalg.norm(h, 2))
+
+
+def _random_dag(rng, dims, size):
+    """A random program mixing every node kind and every sharing pattern.
+
+    Sums draw from a few shared bases, bare or under a conjugation, with
+    repeats; commutator operands are often conjugations; the root is
+    sometimes a conjugation.  Sum weights add up to one and operands are
+    normalised, so values stay of order one.
+    """
+    pool = [Native(float(rng.uniform(0.5, 1.5))), _rand_local(rng, dims)]
+
+    def pick():
+        return pool[int(rng.integers(len(pool)))]
+
+    def maybe_conjugated(node):
+        return Conjugate(_rand_local_unitary(rng, dims), node) if rng.random() < 0.6 else node
+
+    for _ in range(size):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            node = Conjugate(_rand_local_unitary(rng, dims), pick())
+        elif kind in (1, 2):
+            bases = [pick() for _ in range(int(rng.integers(1, 4)))]
+            children = []
+            for _ in range(int(rng.integers(1, 7))):
+                base = bases[int(rng.integers(len(bases)))]
+                children.append(maybe_conjugated(base) if rng.random() < 0.7 else base)
+            if rng.random() < 0.5:
+                children.append(children[0])
+            weights = rng.uniform(0.1, 1.0, size=len(children))
+            weights /= weights.sum()
+            node = Sum(tuple((float(w), c) for w, c in zip(weights, children)))
+        else:
+            node = Sum(((0.25, Commutator(maybe_conjugated(pick()), maybe_conjugated(pick()))),))
+        pool.append(node)
+    root = pool[-1]
+    if rng.random() < 0.3:
+        root = Conjugate(_rand_local_unitary(rng, dims, min_sites=1), root)
+    return root
+
+
+def _assert_matches_dense(program, dims, rng):
+    system = QuditSystem(dims)
+    h = rand_hermitian(rng, system.total_dim)
+    source = h / np.linalg.norm(h, 2)
+    fused = effective_hamiltonian(program, source, system)
+    reference = dense_effective_hamiltonian(program, source, system)
+    # Relative to the reference, floored at the unit scale of the inputs
+    # so exactly cancelling commutators do not divide by zero.
+    scale = max(float(np.linalg.norm(reference)), 1.0)
+    assert float(np.linalg.norm(fused - reference)) <= 1e-12 * scale
+
+
+small_dims = st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=4).filter(
+    lambda dims: math.prod(dims) <= 64
+)
+
+
+class TestFusedEvaluation:
+    """effective_hamiltonian against the dense kron-per-conjugation reference."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(dims=small_dims, seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8))
+    def test_random_dags_match_dense_reference(self, dims, seed, size):
+        rng = np.random.default_rng(seed)
+        _assert_matches_dense(_random_dag(rng, tuple(dims), size), tuple(dims), rng)
+
+    def test_multi_site_conjugation(self):
+        rng = np.random.default_rng(301)
+        dims = (3, 2, 2)
+        unit = LocalUnitary.from_factors(
+            dims, {0: _rand_unitary(rng, 3), 2: _rand_unitary(rng, 2)}
+        )
+        _assert_matches_dense(Sum(((1.0, Conjugate(unit, Native(1.0))),)), dims, rng)
+
+    def test_sum_mixing_bases_with_repeats(self):
+        rng = np.random.default_rng(302)
+        dims = (2, 3, 2)
+        a, b = Native(1.0), _rand_local(rng, dims)
+        u1 = _rand_local_unitary(rng, dims, min_sites=2)
+        u2 = _rand_local_unitary(rng, dims, min_sites=1)
+        twice = Conjugate(u1, a)
+        program = Sum(
+            (
+                (0.5, a),
+                (1.0, twice),
+                (0.3, b),
+                (0.7, Conjugate(u2, b)),
+                (0.4, a),
+                (0.2, twice),
+                (0.6, Conjugate(u2, a)),
+            )
+        )
+        _assert_matches_dense(program, dims, rng)
+
+    def test_nested_conjugations(self):
+        rng = np.random.default_rng(303)
+        dims = (3, 3)
+        inner = Conjugate(_rand_local_unitary(rng, dims, min_sites=2), Native(1.0))
+        outer = Conjugate(_rand_local_unitary(rng, dims, min_sites=1), inner)
+        program = Sum(((1.0, outer), (0.5, Conjugate(_rand_local_unitary(rng, dims), outer))))
+        _assert_matches_dense(program, dims, rng)
+
+    def test_commutator_of_pending_conjugations(self):
+        rng = np.random.default_rng(304)
+        dims = (2, 4)
+        left = Conjugate(_rand_local_unitary(rng, dims, min_sites=1), Native(1.0))
+        right = Conjugate(_rand_local_unitary(rng, dims, min_sites=2), _rand_local(rng, dims))
+        program = Sum(((1.0, Commutator(left, right)), (1.0, left)))
+        _assert_matches_dense(program, dims, rng)
+
+    def test_conjugation_as_root(self):
+        rng = np.random.default_rng(305)
+        dims = (2, 2, 3)
+        child = Sum(((1.0, Native(1.0)), (1.0, _rand_local(rng, dims))))
+        _assert_matches_dense(
+            Conjugate(_rand_local_unitary(rng, dims, min_sites=3), child), dims, rng
+        )
+
+    def test_twirl_stages_match_dense_reference(self):
+        from quditsim.isolation import (
+            stage_cartan_filter,
+            stage_depolarize,
+            stage_full_support_filter,
+        )
+
+        from helpers import rand_expansion
+
+        rng = np.random.default_rng(306)
+        system = QuditSystem((3, 2, 2, 2))
+        expansion = rand_expansion(rng, system, 6)
+        for stage in (
+            lambda e: stage_depolarize(e, (0, 1)),
+            lambda e: stage_full_support_filter(e, (0, 1, 2, 3)),
+            lambda e: stage_cartan_filter(e, (0, 2)),
+        ):
+            program, _ = stage(expansion)
+            _assert_matches_dense(program, system.dims, rng)
