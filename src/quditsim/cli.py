@@ -112,7 +112,7 @@ def cmd_isolate(args) -> int:
 def cmd_reduce(args) -> int:
     expansion = parse_hamiltonian(_load_json(args.input), eps=args.eps)
     term = parse_term_spec(args.term, expansion.system)
-    if term not in expansion.coefficients:
+    if expansion.coefficient(term) == 0.0:
         raise TermNotFoundError(f"term {term} not present in the expansion")
     edges = reduce_to_two_body(expansion, term, args.anchor)
     source = reconstruct(expansion.without_offset())

@@ -26,16 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorization import retarget_term, spectrum
-from .model import EPS_ZERO, CouplingTerm, Expansion, QuditSystem, expand, reconstruct
+from .model import EPS_ZERO, CouplingTerm, Expansion, QuditSystem, site_stacks, term_at
+from .model import reconstruct  # noqa: F401  (perfbench traces calls through this binding)
 from .operators import (
     GellMannLabel,
     LocalUnitary,
     dagger,
+    gellmann_labels,
     gellmann_matrix,
     heisenberg_weyl,
     level_permutation,
     level_sign_flip,
-    twirl,
 )
 from .program import (
     Commutator,
@@ -111,14 +112,15 @@ def precondition(
     Per support qudit: diagonal factors are left alone (b_j is their own
     index); off-diagonal factors share the spectrum of ``W:2`` and are
     rotated onto it, eigenvalues sorted descending with ties keeping the
-    eigensolver's order.  The conjugated expansion is recovered by a dense
-    round trip through one local twirl, which is exact at this scale.
+    eigensolver's order.  Each rotated qudit's coefficient axis is mapped
+    by the real adjoint matrix ``tr(dual_k^dagger U primal_l U^dagger)``.
     """
-    if target not in expansion.coefficients:
+    if expansion.coefficient(target) == 0.0:
         raise TermNotFoundError(f"term {target} not present in the expansion")
     system = expansion.system
     factors: dict[int, np.ndarray] = {}
     cartan: dict[int, int] = {}
+    coeffs = expansion.coeffs
     for qudit, label in target.factors:
         d = system.dims[qudit]
         if label.kind == "W":
@@ -126,10 +128,30 @@ def precondition(
             continue
         cartan[qudit] = 2
         spec = spectrum(gellmann_matrix(d, label))
-        factors[qudit] = _descending_w_frame(d, 2) @ dagger(spec.vectors)
+        u = factors[qudit] = _descending_w_frame(d, 2) @ dagger(spec.vectors)
+        primal, dual = site_stacks(d)
+        adjoint = np.einsum("kab,lab->kl", dual.conj(), u @ primal @ dagger(u)).real
+        coeffs = _map_axis(coeffs, qudit, adjoint)
     conjugation = LocalUnitary.from_factors(system.dims, factors)
-    rotated = expand(twirl(reconstruct(expansion), system.dims, [(1.0, conjugation)]), system)
-    return CanonicalTarget(conjugation, cartan), rotated
+    return CanonicalTarget(conjugation, cartan), Expansion.from_array(system, coeffs).thresholded()
+
+
+def _map_axis(coeffs: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
+    """Apply a linear map to one site axis of a coefficient array."""
+    return np.moveaxis(np.tensordot(matrix, coeffs, axes=([1], [axis])), 0, axis)
+
+
+def _multiply(coeffs: np.ndarray, axes: tuple[int, ...], multiplier: np.ndarray) -> np.ndarray:
+    """Scale a coefficient array entrywise by a multiplier indexed by ``axes``."""
+    others = [a for a in range(coeffs.ndim) if a not in axes]
+    return coeffs * np.expand_dims(multiplier.transpose(np.argsort(axes)), others)
+
+
+def _require_factors(coeffs: np.ndarray, dim: int, axis: int, allowed: np.ndarray, message: str):
+    """Raise ``message`` plus the label if a present term's factor on ``axis`` is not allowed."""
+    hits = np.argwhere(_multiply(coeffs, (axis,), ~allowed))
+    if len(hits):
+        raise ValueError(f"{message}{gellmann_labels(dim)[hits[0][axis] - 1]}")
 
 
 def _twirl_branches(system: QuditSystem, qudits, child) -> list:
@@ -155,15 +177,12 @@ def stage_depolarize(
     outside = sorted(set(range(system.size)) - support)
     if not outside:
         return Native(1.0), expansion
-    scale = 1.0
+    coeffs = expansion.coeffs
     for j in outside:
-        scale *= system.dims[j] ** 2
-    coeffs = {}
-    for term, h in expansion.coefficients.items():
-        if set(term.support) <= support:
-            coeffs[term] = h * scale
+        d2 = system.dims[j] ** 2
+        coeffs = _multiply(coeffs, (j,), d2 * (np.arange(d2) == 0))
     program = Sum(tuple(_twirl_branches(system, outside, Native(1.0))))
-    return program, Expansion(system, coeffs, expansion.trace_offset * scale)
+    return program, Expansion.from_array(system, coeffs)
 
 
 def stage_full_support_filter(
@@ -181,14 +200,15 @@ def stage_full_support_filter(
     """
     system = expansion.system
     support = sorted(set(support))
-    for term in expansion.coefficients:
-        if not set(term.support) <= set(support):
-            raise ValueError(f"term {term} lies outside the filter support {support}")
+    leaked = expansion.coeffs.copy()
+    leaked[tuple(slice(None) if j in support else 0 for j in range(system.size))] = 0.0
+    if leaked.any():
+        term = term_at(system.dims, np.argwhere(leaked)[0])
+        raise ValueError(f"term {term} lies outside the filter support {support}")
     if len(support) <= 1:
         return Native(1.0), expansion
 
-    coeffs = dict(expansion.coefficients)
-    offset = expansion.trace_offset
+    coeffs = expansion.coeffs
     child: SimulationProgram = Native(1.0)
     for m in support:
         for j in support:
@@ -203,22 +223,11 @@ def stage_full_support_filter(
                     branches.append((1.0, Conjugate(unit, child)))
             child = Sum(tuple(branches))
 
-            new_coeffs = {}
-            for term, h in coeffs.items():
-                touched = set(term.support)
-                if m in touched and j in touched:
-                    factor = float(dj2)
-                elif m in touched:
-                    factor = 0.0
-                elif j in touched:
-                    factor = float(dj2 - dm2)
-                else:
-                    factor = float(dm2 * (dj2 - 1))
-                if factor != 0.0:
-                    new_coeffs[term] = h * factor
-            coeffs = new_coeffs
-            offset *= dm2 * (dj2 - 1)
-    return child, Expansion(system, coeffs, offset)
+            # The factor depends on whether a term is traceless on m and on j.
+            corners = np.array([[dm2 * (dj2 - 1), dj2 - dm2], [0.0, dj2]])
+            table = corners[np.minimum(np.arange(dm2), 1)[:, None], np.minimum(np.arange(dj2), 1)]
+            coeffs = _multiply(coeffs, (m, j), table)
+    return child, Expansion.from_array(system, coeffs)
 
 
 def stage_cartan_filter(
@@ -232,28 +241,16 @@ def stage_cartan_filter(
     and scales diagonal survivors by ``prod 2^(d_j)``.
     """
     system = expansion.system
-    support = sorted(set(support))
     child: SimulationProgram = Native(1.0)
-    total = 1.0
-    for j in support:
+    coeffs = expansion.coeffs
+    for j in sorted(set(support)):
         d = system.dims[j]
-        total *= 2.0**d
         for a in range(1, d + 1):
             flip = LocalUnitary.from_factors(system.dims, {j: level_sign_flip(d, a)})
             child = Sum(((1.0, child), (1.0, Conjugate(flip, child))))
-    coeffs = {}
-    for term, h in expansion.coefficients.items():
-        labels = term.as_dict()
-        factor = 1.0
-        for j in support:
-            label = labels.get(j)
-            if label is not None and label.kind != "W":
-                factor = 0.0
-                break
-            factor *= 2.0 ** system.dims[j]
-        if factor != 0.0:
-            coeffs[term] = h * factor
-    return child, Expansion(system, coeffs, expansion.trace_offset * total)
+        diagonal = [1.0] + [float(label.kind == "W") for label in gellmann_labels(d)]
+        coeffs = _multiply(coeffs, (j,), 2.0**d * np.array(diagonal))
+    return child, Expansion.from_array(system, coeffs)
 
 
 def stage_permutation_filter(
@@ -269,8 +266,7 @@ def stage_permutation_filter(
     """
     system = expansion.system
     child: SimulationProgram = Native(1.0)
-    coeffs = dict(expansion.coefficients)
-    offset = expansion.trace_offset
+    coeffs = expansion.coeffs
     for j in sorted(cartan_indices):
         b = cartan_indices[j]
         if b <= 2:
@@ -282,25 +278,13 @@ def stage_permutation_filter(
             branches.append((1.0, Conjugate(perm, child)))
         child = Sum(tuple(branches))
 
-        fact = float(math.factorial(b - 1))
-        new_coeffs = {}
-        for term, h in coeffs.items():
-            label = term.as_dict().get(j)
-            if label is None:
-                new_coeffs[term] = h * fact
-            elif label.kind == "W":
-                if label.a >= b:
-                    new_coeffs[term] = h * fact
-                # a < b: eliminated
-            elif label.a >= b:
-                new_coeffs[term] = h * fact
-            else:
-                raise ValueError(
-                    f"permutation filter on qudit {j} needs diagonal factors, got {label}"
-                )
-        coeffs = new_coeffs
-        offset *= fact
-    return child, Expansion(system, coeffs, offset)
+        labels = gellmann_labels(d)
+        allowed = np.array([True] + [label.kind == "W" or label.a >= b for label in labels])
+        message = f"permutation filter on qudit {j} needs diagonal factors, got "
+        _require_factors(coeffs, d, j, allowed, message)
+        invariant = [1.0] + [float(label.a >= b) for label in labels]
+        coeffs = _multiply(coeffs, (j,), math.factorial(b - 1) * np.array(invariant))
+    return child, Expansion.from_array(system, coeffs)
 
 
 def stage_ladder(
@@ -315,32 +299,25 @@ def stage_ladder(
     """
     system = expansion.system
     child: SimulationProgram = Native(1.0)
-    coeffs = dict(expansion.coefficients)
+    coeffs = expansion.coeffs
     for j in sorted(cartan_indices):
         b = cartan_indices[j]
         d = system.dims[j]
         xmat = gellmann_matrix(d, GellMannLabel.x(b - 1, b))
         child = Commutator(Local(j, xmat), child)
 
-        gain = np.sqrt(b / (b - 1))
-        new_coeffs = {}
-        for term, h in coeffs.items():
-            labels = term.as_dict()
-            label = labels.get(j)
-            if label is None:
-                continue
-            if label.kind != "W" or label.a < b:
-                raise ValueError(
-                    f"ladder stage on qudit {j} expects W:a factors with a >= {b}, got {label}"
-                )
-            if label.a > b:
-                continue
-            labels[j] = GellMannLabel.y(b - 1, b)
-            new_coeffs[CouplingTerm.of(labels)] = h * gain
-        coeffs = new_coeffs
-    if not coeffs:
+        labels = gellmann_labels(d)
+        allowed = np.array([True] + [label.kind == "W" and label.a >= b for label in labels])
+        message = f"ladder stage on qudit {j} expects W:a factors with a >= {b}, got "
+        _require_factors(coeffs, d, j, allowed, message)
+        ladder = np.zeros((d * d, d * d))
+        w_b = 1 + labels.index(GellMannLabel.w(b))
+        y_b = 1 + labels.index(GellMannLabel.y(b - 1, b))
+        ladder[y_b, w_b] = np.sqrt(b / (b - 1))
+        coeffs = _map_axis(coeffs, j, ladder)
+    if not coeffs.any():
         raise NegligibleTermError("commutator ladder eliminated every term")
-    return child, Expansion(system, coeffs, 0.0)
+    return child, Expansion.from_array(system, coeffs)
 
 
 def isolate_term(
@@ -350,18 +327,23 @@ def isolate_term(
 
     Composes preconditioning, the D/T/Z/P/X stages and a final
     retargeting (plus the inverse preconditioning conjugation).  The
-    returned scale is the absolute survivor coefficient: the product of
-    the per-stage scale factors times ``|h_target|``.
+    stages run on the expansion divided by its largest coefficient, so
+    their scale factors cannot overflow; the returned scale is the
+    absolute survivor coefficient times that maximum: the product of the
+    per-stage scale factors times ``|h_target|``.
     """
-    if target not in expansion.coefficients:
+    h_target = expansion.coefficient(target)
+    if h_target == 0.0:
         raise TermNotFoundError(f"term {target} not present in the expansion")
-    if abs(expansion.coefficients[target]) <= eps * expansion.max_coefficient():
+    peak = expansion.max_coefficient()
+    if abs(h_target) <= eps * peak:
         raise NegligibleTermError(
             f"coefficient of {target} is below the relative threshold {eps:g}"
         )
     system = expansion.system
     support = target.support
-    canon, current = precondition(expansion.without_offset().thresholded(eps), target)
+    normalised = Expansion.from_array(system, expansion.without_offset().coeffs / peak)
+    canon, current = precondition(normalised.thresholded(eps), target)
     canonical_term = CouplingTerm.of(
         {j: GellMannLabel.w(b) for j, b in canon.cartan_indices.items()}
     )
@@ -380,25 +362,28 @@ def isolate_term(
     reports = []
     tracked = canonical_term
     for name, fn in stages:
-        before = current.coefficients.get(tracked, 0.0)
+        before = current.coefficient(tracked)
         stage_program, current = fn(current)
         current = current.thresholded(eps)
         program = graft(stage_program, program)
         if name == "X":
             tracked = ladder_term
-        after = current.coefficients.get(tracked, 0.0)
+        after = current.coefficient(tracked)
         if before == 0.0 or after == 0.0:
             raise NegligibleTermError(f"target lost in stage {name}")
-        reports.append(StageReport(name, len(current.coefficients), after / before))
+        reports.append(StageReport(name, current.term_count(), after / before))
 
     leftovers = set(current.coefficients) - {tracked}
     if leftovers:
         raise RuntimeError(f"isolation left extra terms: {sorted(map(str, leftovers))}")
 
-    survivor_coeff = current.coefficients[tracked]
-    scale = abs(survivor_coeff)
+    survivor_coeff = current.coefficient(tracked)
+    scale = abs(survivor_coeff) * peak
+    if not math.isfinite(scale):
+        raise ValueError(f"isolation scale overflows: {abs(survivor_coeff):.3e} x {peak:.3e}")
     program = graft(
-        retarget_term(tracked, survivor_coeff, canonical_term, scale, system), program
+        retarget_term(tracked, survivor_coeff, canonical_term, abs(survivor_coeff), system),
+        program,
     )
     program = Conjugate(canon.conjugation.inverse(), program)
     return IsolationResult(

@@ -10,8 +10,9 @@ into the four simulation-universality classes.
 
 import enum
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .operators import (
     GellMannLabel,
     embed,
     gellmann_basis,
+    gellmann_labels,
     gellmann_matrix,
     require_hermitian,
 )
@@ -94,9 +96,6 @@ class CouplingTerm:
                 return label
         raise KeyError(f"qudit {qudit} not in support {self.support}")
 
-    def as_dict(self) -> dict[int, GellMannLabel]:
-        return dict(self.factors)
-
     def without(self, qudit: int) -> "CouplingTerm":
         kept = tuple((q, lab) for q, lab in self.factors if q != qudit)
         return CouplingTerm(kept)
@@ -116,52 +115,106 @@ class CouplingTerm:
         return ",".join(f"{q}:{label}" for q, label in self.factors)
 
 
-@dataclass
 class Expansion:
     """Real coefficients over coupling terms plus a trace offset.
 
-    The represented operator is ``trace_offset * I + sum h_a T_a``.
-    Treated as immutable by convention; helpers return new instances.
+    The represented operator is ``trace_offset * I + sum h_a T_a``, held as
+    one read-only real array ``coeffs`` of shape ``(d_0^2, ..., d_{n-1}^2)``.
+    On axis j, index 0 is the identity and index k >= 1 the Gell-Mann
+    element ``gellmann_labels(d_j)[k - 1]``; an entry is its term's ``h_a``
+    (identity factors unnormalised) and entry ``(0, ..., 0)`` is the trace
+    offset.  Helpers return new instances.
     """
 
-    system: QuditSystem
-    coefficients: dict[CouplingTerm, float] = field(default_factory=dict)
-    trace_offset: float = 0.0
+    def __init__(self, system: QuditSystem, coefficients: dict | None = None, trace_offset=0.0):
+        coeffs = np.zeros([d * d for d in system.dims])
+        for term, h in (coefficients or {}).items():
+            coeffs[_term_index(system, term)] = h
+        coeffs.flat[0] = trace_offset
+        self.system = system
+        self.coeffs = coeffs
+        coeffs.flags.writeable = False
+
+    @classmethod
+    def from_array(cls, system: QuditSystem, coeffs: np.ndarray) -> "Expansion":
+        """Expansion holding a copy of a coefficient array in the ``coeffs`` layout."""
+        if np.shape(coeffs) != tuple(d * d for d in system.dims):
+            raise ValueError(f"coefficient shape {np.shape(coeffs)} does not fit {system.dims}")
+        out = cls.__new__(cls)
+        out.system = system
+        out.coeffs = np.array(coeffs, dtype=float)
+        out.coeffs.flags.writeable = False
+        return out
+
+    @property
+    def trace_offset(self) -> float:
+        return float(self.coeffs.flat[0])
+
+    @cached_property
+    def coefficients(self) -> MappingProxyType:
+        """Read-only ``{term: h}`` view of the nonzero terms, in array order."""
+        nonzero = np.nonzero(self.coeffs)
+        pairs = zip(zip(*nonzero), self.coeffs[nonzero].tolist())
+        return MappingProxyType({term_at(self.system.dims, i): h for i, h in pairs if any(i)})
+
+    def coefficient(self, term: CouplingTerm) -> float:
+        """Coefficient of one term (0.0 when absent)."""
+        return float(self.coeffs[_term_index(self.system, term)])
 
     def terms(self) -> list[tuple[CouplingTerm, float]]:
-        return [(t, self.coefficients[t]) for t in sorted(self.coefficients)]
+        return sorted(self.coefficients.items())
+
+    def term_count(self) -> int:
+        return int(np.count_nonzero(self.coeffs)) - int(self.coeffs.flat[0] != 0.0)
 
     def max_coefficient(self) -> float:
-        if not self.coefficients:
-            return 0.0
-        return max(abs(h) for h in self.coefficients.values())
+        return float(np.abs(self.coeffs.ravel()[1:]).max(initial=0.0))
 
     def thresholded(self, eps_rel: float = EPS_ZERO) -> "Expansion":
         cutoff = eps_rel * max(self.max_coefficient(), abs(self.trace_offset))
-        kept = {t: h for t, h in self.coefficients.items() if abs(h) > cutoff}
-        return Expansion(self.system, kept, self.trace_offset)
+        kept = np.where(np.abs(self.coeffs) > cutoff, self.coeffs, 0.0)
+        kept.flat[0] = self.trace_offset
+        return Expansion.from_array(self.system, kept)
 
     def without_offset(self) -> "Expansion":
-        return Expansion(self.system, dict(self.coefficients), 0.0)
+        stripped = self.coeffs.copy()
+        stripped.flat[0] = 0.0
+        return Expansion.from_array(self.system, stripped)
 
-    def supports(self) -> list[tuple[int, ...]]:
-        return [t.support for t in sorted(self.coefficients)]
+
+def _term_index(system: QuditSystem, term: CouplingTerm) -> tuple[int, ...]:
+    """Index of a coupling term in the ``Expansion.coeffs`` layout."""
+    term.validate(system)
+    index = [0] * system.size
+    for q, label in term.factors:
+        index[q] = gellmann_labels(system.dims[q]).index(label) + 1
+    return tuple(index)
+
+
+def term_at(dims: tuple[int, ...], index) -> CouplingTerm:
+    """Coupling term at a (not all-zero) index of the ``Expansion.coeffs`` layout."""
+    labels = tuple((j, gellmann_labels(dims[j])[k - 1]) for j, k in enumerate(index) if k)
+    return CouplingTerm(labels)
 
 
 @lru_cache(maxsize=None)
-def _site_stack(dim: int) -> np.ndarray:
-    """Orthonormal single-site operator basis: I/sqrt(d) then Gell-Mann."""
-    mats = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
-    mats += [g for _, g in gellmann_basis(dim)]
-    return np.stack(mats)
+def site_stacks(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Single-site basis ``I, G_1, ...`` and its dual ``I/d, G_1, ...``.
+
+    ``tr(dual_k^dagger primal_l) = delta_kl``.
+    """
+    gells = [g for _, g in gellmann_basis(dim)]
+    eye = np.eye(dim, dtype=complex)
+    return np.stack([eye] + gells), np.stack([eye / dim] + gells)
 
 
 def expand(ham: np.ndarray, system: QuditSystem, eps_rel: float = EPS_ZERO) -> Expansion:
     """Project a dense Hermitian operator onto the coupling-term basis.
 
-    Coefficients are Hilbert-Schmidt projections; since Gell-Mann factors
-    have unit norm and identity factors contribute their dimension, a term
-    with support S gets ``h = tr(T H) / prod_{j not in S} d_j``.
+    Coefficients are Hilbert-Schmidt projections on the dual site bases:
+    since Gell-Mann factors have unit norm and identity factors contribute
+    their dimension, a term with support S gets
+    ``h = tr(T H) / prod_{j not in S} d_j``.
     """
     dims = system.dims
     n = system.size
@@ -170,68 +223,29 @@ def expand(ham: np.ndarray, system: QuditSystem, eps_rel: float = EPS_ZERO) -> E
         raise ValueError(f"operator shape {ham.shape} does not match dimension {big_d}")
     require_hermitian(ham, "expanded operator")
 
-    # Contract one site at a time against the orthonormal site basis; the
-    # invariant keeps site j's row axis at position j and its column axis
-    # at position n.
+    # Contract one site at a time; the invariant keeps site j's row axis at
+    # position j and its column axis at position n.
     coeff = ham.reshape(*dims, *dims)
     for j, d in enumerate(dims):
-        stack = _site_stack(d)
-        coeff = np.moveaxis(
-            np.tensordot(stack.conj(), coeff, axes=([1, 2], [j, n])), 0, j
-        )
+        dual = site_stacks(d)[1]
+        coeff = np.moveaxis(np.tensordot(dual.conj(), coeff, axes=([1, 2], [j, n])), 0, j)
 
     imag_resid = float(np.abs(coeff.imag).max())
     if imag_resid > 1e-12 * max(1.0, float(np.abs(coeff).max())):
         raise ValueError(f"expansion produced non-real coefficients ({imag_resid:.2e})")
-    coeff = coeff.real
-
-    site_labels = [gellmann_basis(d) for d in dims]
-    inv_sqrt = [1.0 / np.sqrt(d) for d in dims]
-    terms: dict[CouplingTerm, float] = {}
-    trace_offset = 0.0
-    for index in np.ndindex(*coeff.shape):
-        value = float(coeff[index])
-        if value == 0.0:
-            continue
-        if all(k == 0 for k in index):
-            trace_offset = value / np.sqrt(big_d)
-            continue
-        factors = {}
-        for j, k in enumerate(index):
-            if k == 0:
-                value *= inv_sqrt[j]
-            else:
-                factors[j] = site_labels[j][k - 1][0]
-        terms[CouplingTerm.of(factors)] = value
-
-    return Expansion(system, terms, trace_offset).thresholded(eps_rel)
+    return Expansion.from_array(system, coeff.real).thresholded(eps_rel)
 
 
 def reconstruct(expansion: Expansion) -> np.ndarray:
-    """Dense operator represented by an expansion."""
+    """Dense operator of an expansion; terms are contracted site by site."""
     system = expansion.system
-    out = expansion.trace_offset * np.eye(system.total_dim, dtype=complex)
-    for term, h in expansion.coefficients.items():
-        out += h * term.matrix(system)
-    return out
-
-
-class _UnionFind:
-    def __init__(self, elements):
-        self.parent = {e: e for e in elements}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    out = expansion.without_offset().coeffs
+    for d in system.dims:
+        out = np.tensordot(out, site_stacks(d)[0], axes=([0], [0]))
+    # Axes are now (row_0, col_0, row_1, col_1, ...).
+    rows_then_cols = [*range(0, 2 * system.size, 2), *range(1, 2 * system.size, 2)]
+    terms = out.transpose(rows_then_cols).reshape(system.total_dim, -1)
+    return expansion.trace_offset * embed(system.dims, {}) + terms
 
 
 @dataclass(frozen=True)
@@ -253,8 +267,9 @@ def is_entangling(expansion: Expansion, subset) -> Connectivity:
     """Whether the coupling hypergraph connects ``subset``.
 
     Vertices are the qudits of ``subset``; each term contributes its
-    support intersected with ``subset`` as a hyperedge.  Union-find makes
-    this near-linear in the number of factors.
+    support intersected with ``subset`` as a hyperedge.  Two qudits are
+    linked when some term touches both, and the component of the first
+    qudit grows along links until it stops changing.
     """
     subset = tuple(sorted(set(subset)))
     if not subset:
@@ -262,17 +277,15 @@ def is_entangling(expansion: Expansion, subset) -> Connectivity:
     for q in subset:
         if not 0 <= q < expansion.system.size:
             raise ValueError(f"qudit {q} outside the system")
-    uf = _UnionFind(subset)
-    inside = set(subset)
-    for term in expansion.coefficients:
-        edge = [q for q in term.support if q in inside]
-        for a, b in zip(edge, edge[1:]):
-            uf.union(a, b)
-    head = uf.find(subset[0])
-    component = tuple(q for q in subset if uf.find(q) == head)
-    if len(component) == len(subset):
+    touched = (np.argwhere(expansion.coeffs)[:, subset] != 0).astype(int)
+    linked = touched.T @ touched > 0
+    reached = np.arange(len(subset)) == 0
+    for _ in subset:
+        reached = reached | linked[reached].any(axis=0)
+    if reached.all():
         return Connectivity(True)
-    rest = tuple(q for q in subset if uf.find(q) != head)
+    component = tuple(q for q, r in zip(subset, reached) if r)
+    rest = tuple(q for q, r in zip(subset, reached) if not r)
     return Connectivity(False, (component, rest))
 
 

@@ -30,6 +30,7 @@ from .operators import (
     embed,
     heisenberg_weyl,
     hermitian_exp,
+    max_abs,
     require_hermitian,
     twirl,
 )
@@ -176,17 +177,18 @@ def measure(
     ``scale`` is the least-squares coefficient of the term, the residual
     is the leftover norm relative to the effective Hamiltonian's, and the
     cosine is that of the Hilbert-Schmidt angle between the two operators.
+    All three use the effective Hamiltonian divided by its largest entry,
+    so the norms stay finite for any finite input.
     """
     eff = effective_hamiltonian(program, source, system)
-    target = term.matrix(system)
-    scale = float((np.sum(target.conj() * eff) / np.sum(target.conj() * target)).real)
+    peak = max_abs(eff) or 1.0
+    eff, target = eff / peak, term.matrix(system)
+    overlap = float(np.sum(target.conj() * eff).real)
+    scale = overlap / float(np.sum(target.conj() * target).real)
     norm_eff = float(np.linalg.norm(eff))
     residual = float(np.linalg.norm(eff - scale * target) / max(norm_eff, 1e-300))
-    cosine = float(
-        (np.sum(target.conj() * eff)).real
-        / max(np.linalg.norm(target) * norm_eff, 1e-300)
-    )
-    return Measurement(scale, residual, cosine)
+    cosine = overlap / max(float(np.linalg.norm(target)) * norm_eff, 1e-300)
+    return Measurement(scale * peak, residual, cosine)
 
 
 def graft(outer: SimulationProgram, inner: SimulationProgram) -> SimulationProgram:

@@ -145,9 +145,8 @@ def parse_hamiltonian(data: dict, eps: float = EPS_ZERO) -> Expansion:
             raise FileFormatError(str(exc)) from exc
         coefficients[term] = coefficients.get(term, 0.0) + coeff
     offset = _finite_from_json(data.get("trace_offset", 0.0), "trace_offset")
-    # Keep tiny coefficients the file spells out explicitly; only exact
-    # zeros are dropped.  Downstream thresholds report their own errors.
-    coefficients = {t: h for t, h in coefficients.items() if h != 0.0}
+    # Tiny coefficients the file spells out explicitly are kept; downstream
+    # thresholds report their own errors.
     return Expansion(system, coefficients, offset)
 
 
@@ -166,9 +165,14 @@ def expansion_to_json(expansion: Expansion) -> dict:
 
 
 def program_to_json(program: SimulationProgram) -> dict:
-    """Flat node table preserving shared subtrees."""
+    """Flat node table preserving shared subtrees; each distinct matrix is encoded once."""
     index: dict[int, int] = {}
     nodes: list[dict] = []
+    encoded: dict[int, list] = {}
+
+    def encode(matrix: np.ndarray) -> list:
+        return encoded.get(id(matrix)) or encoded.setdefault(id(matrix), matrix_to_json(matrix))
+
     for node in iter_unique_nodes(program):
         if isinstance(node, Native):
             record = {"type": "native", "weight": float(node.weight)}
@@ -176,14 +180,13 @@ def program_to_json(program: SimulationProgram) -> dict:
             record = {
                 "type": "local",
                 "qudit": node.qudit,
-                "operator": matrix_to_json(node.operator),
+                "operator": encode(node.operator),
             }
         elif isinstance(node, Conjugate):
             record = {
                 "type": "conjugate",
                 "unitaries": {
-                    str(q): matrix_to_json(u)
-                    for q, u in node.unitary.nontrivial_factors().items()
+                    str(q): encode(u) for q, u in node.unitary.nontrivial_factors().items()
                 },
                 "child": index[id(node.child)],
             }

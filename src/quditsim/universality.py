@@ -170,11 +170,7 @@ def drop_qudit(expansion: Expansion, term: CouplingTerm, qudit: int) -> DropResu
     remainder = commutator_expansion(
         recipe_alpha.without(qudit), recipe_beta.without(qudit), system
     )
-    scaled = Expansion(
-        system,
-        {t: system.dims[qudit] * h for t, h in remainder.coefficients.items()},
-        0.0,
-    )
+    scaled = Expansion.from_array(system, system.dims[qudit] * remainder.without_offset().coeffs)
     full = [t for t in sorted(scaled.coefficients) if set(t.support) == set(rest)]
     if not full:
         raise ZeroCommutatorError("remainder commutator has no full-support term")
@@ -275,16 +271,15 @@ def connect_all(expansion: Expansion) -> UniversalityCertificate:
             _attach_all_qubit_term(expansion, beta, covered, qubit_link, register)
         covered |= set(beta.support)
 
-    edges = []
-    for pair in sorted(by_pair):
-        edge = by_pair[pair]
+    # Edges keep their symbolic scales; the dense measurement confirms them.
+    edges = [by_pair[pair] for pair in sorted(by_pair)]
+    for edge in edges:
         scale, resid, _ = measure(edge.program, source, system, edge.term)
-        if scale <= 0 or resid > 1e-9:
+        if scale <= 0 or resid > 1e-9 or abs(scale - edge.scale) > 1e-9 * abs(edge.scale):
             raise RuntimeError(
-                f"edge ({edge.i},{edge.j}) failed verification: "
-                f"scale={scale:.3e}, residual={resid:.3e}"
+                f"edge ({edge.i},{edge.j}) failed verification: scale={scale:.3e} "
+                f"(expected {edge.scale:.3e}), residual={resid:.3e}"
             )
-        edges.append(Edge(edge.i, edge.j, edge.program, edge.term, scale))
     _check_certificate(system, edges)
     return UniversalityCertificate(anchor, tuple(edges), verdict, iterations)
 
@@ -328,11 +323,10 @@ def _attach_all_qubit_term(
         ),
         system,
     )
-    if len(bridged.coefficients) != 1:
+    if bridged.term_count() != 1:
         raise RuntimeError("bridging commutator did not yield a single coupling term")
-    ((bridge_term, bridge_coeff),) = bridged.coefficients.items()
-    bridge_e = Expansion(system, {bridge_term: bridge_coeff}, 0.0)
-    for edge in reduce_to_two_body(bridge_e, bridge_term, hub):
+    (bridge_term,) = bridged.coefficients
+    for edge in reduce_to_two_body(bridged.without_offset(), bridge_term, hub):
         register(Edge(edge.i, edge.j, graft(edge.program, comm), edge.term, edge.scale))
 
 

@@ -75,6 +75,15 @@ def rel_residual(actual, expected):
     return float(np.linalg.norm(actual - expected) / scale)
 
 
+def dense_reconstruct(expansion):
+    """Reference reconstruction: one Kronecker-embedded matrix per term."""
+    system = expansion.system
+    out = expansion.trace_offset * np.eye(system.total_dim, dtype=complex)
+    for term, h in expansion.coefficients.items():
+        out += h * term.matrix(system)
+    return out
+
+
 def kron_unitary(unitary):
     """Dense matrix of a LocalUnitary, one np.kron per qudit."""
     placed = unitary.nontrivial_factors()

@@ -141,6 +141,15 @@ class TestIsolateCommand:
         target = report["scale"] * term.matrix(expansion.system)
         assert np.abs(eff - target).max() / report["scale"] < 1e-9
 
+    def test_huge_coefficient_verifies(self, tmp_path, capsys):
+        path = terms_file(
+            tmp_path, "h.json", [3, 2], [{"coeff": 1e300, "factors": {"0": "X:1:2", "1": "X:1:2"}}]
+        )
+        assert main(["isolate", "-i", path, "--term", "0:X:1:2,1:X:1:2"]) == 0
+        check = json.loads(capsys.readouterr().out)["verification"]
+        assert check["relative_residual"] < 1e-9
+        assert check["cosine"] > 1 - 1e-9
+
     def test_absent_term_exit_2(self, tmp_path, capsys):
         path = demo_input(tmp_path)
         assert main(["isolate", "-i", path, "--term", "0:W:2"]) == 2
@@ -305,6 +314,13 @@ class TestMalformedInputs:
             path = terms_file(tmp_path, "h.json", dims, [{"coeff": 1.0, "factors": self.XX}])
             _assert_input_error(capsys, ["classify", "-i", path])
 
+    def test_overflowing_isolation_scale(self, tmp_path, capsys):
+        path = terms_file(tmp_path, "h.json", [3, 2], [{"coeff": 1e308, "factors": self.XX}])
+        assert main(["isolate", "-i", path, "--term", "0:X:1:2,1:X:1:2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: isolation scale overflows")
+        assert err.count("\n") == 1
+
     def verify_program(self, tmp_path, capsys, program):
         path = terms_file(
             tmp_path, "h.json", [2], [{"coeff": 1.0, "factors": {"0": "W:2"}}]
@@ -395,6 +411,19 @@ class TestProgramSerialization:
         eff1 = effective_hamiltonian(result.program, h, system)
         eff2 = effective_hamiltonian(rebuilt, h, system)
         assert np.abs(eff1 - eff2).max() < 1e-12
+
+    def test_shared_matrices_encoded_once(self):
+        from quditsim import Conjugate, LocalUnitary, Native, Sum
+        from quditsim.serialize import matrix_to_json
+
+        dims = (2, 3)
+        flip = np.array([[0, 1], [1, 0]], dtype=complex)
+        unit = LocalUnitary.from_factors(dims, {0: flip})
+        program = Sum(((1.0, Conjugate(unit, Native(1.0))), (0.5, Conjugate(unit, Native(2.0)))))
+        nodes = program_to_json(program)["nodes"]
+        first, second = (n["unitaries"]["0"] for n in nodes if n["type"] == "conjugate")
+        assert first is second
+        assert first == matrix_to_json(flip)
 
     def test_rejects_malformed(self):
         system = QuditSystem((2,))

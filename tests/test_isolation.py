@@ -229,6 +229,12 @@ class TestStagePermutation:
         eff = effective_hamiltonian(program, reconstruct(e), system)
         assert rel_residual(eff, reconstruct(out)) < 1e-10
 
+    def test_rejects_off_diagonal_factor_in_block(self):
+        system = QuditSystem((3,))
+        e = Expansion(system, {CouplingTerm.of({0: X(1, 2)}): 1.0})
+        with pytest.raises(ValueError, match="needs diagonal factors, got X:1:2"):
+            stage_permutation_filter(e, {0: 3})
+
 
 class TestStageLadder:
     def test_qubit_w_to_y(self):
@@ -265,6 +271,13 @@ class TestStageLadder:
         program, _ = stage_ladder(e, {0: 2, 1: 2})
         comms = [n for n in iter_unique_nodes(program) if isinstance(n, Commutator)]
         assert len(comms) == 2
+
+    def test_rejects_low_or_off_diagonal_factors(self):
+        system = QuditSystem((3,))
+        for label in (W(2), X(2, 3)):
+            e = Expansion(system, {CouplingTerm.of({0: label}): 1.0})
+            with pytest.raises(ValueError, match=f"a >= 3, got {label}"):
+                stage_ladder(e, {0: 3})
 
 
 SYSTEMS = [(3, 3), (3, 2, 2), (4, 2), (2, 2, 3)]

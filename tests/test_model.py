@@ -1,9 +1,12 @@
 """Expansion, connectivity and classification tests."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditsim import (
     CouplingTerm,
@@ -12,12 +15,22 @@ from quditsim import (
     QuditSystem,
     VerdictKind,
     classify,
+    effective_hamiltonian,
     expand,
     is_entangling,
     reconstruct,
 )
+from quditsim.isolation import (
+    precondition,
+    stage_cartan_filter,
+    stage_depolarize,
+    stage_full_support_filter,
+    stage_ladder,
+    stage_permutation_filter,
+)
+from quditsim.operators import gellmann_labels
 
-from helpers import rand_expansion, rand_hermitian, rand_support, rand_term
+from helpers import dense_reconstruct, rand_expansion, rand_hermitian, rand_support, rand_term
 
 W = GellMannLabel.w
 X = GellMannLabel.x
@@ -241,3 +254,115 @@ class TestQuditSystem:
         QuditSystem((4, 4, 4, 4))  # 256 is allowed
         with pytest.raises(ValueError):
             QuditSystem((4, 4, 4, 4, 2))
+
+
+def _rel_error(actual, expected):
+    return float(np.abs(actual - expected).max()) / max(float(np.abs(expected).max()), 1e-300)
+
+
+def _assert_stage_output(after, evaluated, identity_image, input_scale):
+    """A stage's symbolic output on a traceless input against dense evaluation.
+
+    ``evaluated`` and ``identity_image`` are the stage program evaluated on
+    the input and on the identity.  The traceless part must agree to 1e-10
+    of the output's largest entry.  Dense twirls leave roundoff on the
+    identity, which stage T multiplies by d_m^2 (d_j^2 - 1) per pair while
+    full-support terms grow by d_j^2 only, so the evaluated trace is held
+    to 1e-10 of the identity's gain (or of the input, for the commutator
+    ladder, which has no such gain).
+    """
+    big_d = after.system.total_dim
+    offset = np.trace(evaluated).real / big_d
+    assert _rel_error(evaluated - offset * np.eye(big_d), dense_reconstruct(after)) < 1e-10
+    gain = np.trace(identity_image).real / big_d
+    assert abs(offset) <= 1e-10 * max(abs(gain), 1.0) * input_scale
+
+
+mixed_dims = st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=4).filter(
+    lambda dims: math.prod(dims) <= 64
+)
+
+
+class TestCoefficientArray:
+    """The coefficient-array layout, its dict view and its site-wise maps."""
+
+    def test_layout(self):
+        system = QuditSystem((3, 2))
+        term = CouplingTerm.of({0: X(1, 2), 1: W(2)})
+        e = Expansion(system, {term: 0.7}, trace_offset=0.25)
+        assert e.coeffs.shape == (9, 4)
+        assert e.coeffs[0, 0] == 0.25
+        k = gellmann_labels(3).index(X(1, 2)) + 1
+        assert e.coeffs[k, 1] == 0.7
+        assert np.count_nonzero(e.coeffs) == 2
+        assert dict(e.coefficients) == {term: 0.7}
+        assert e.coefficient(term) == 0.7
+        assert e.coefficient(CouplingTerm.of({1: W(2)})) == 0.0
+        assert Expansion.from_array(system, e.coeffs).coefficients == e.coefficients
+
+    def test_dict_view_and_array_are_read_only(self):
+        system = QuditSystem((2, 2))
+        e = Expansion(system, {CouplingTerm.of({0: W(2)}): 1.0})
+        with pytest.raises(TypeError):
+            e.coefficients[CouplingTerm.of({1: W(2)})] = 2.0
+        with pytest.raises(ValueError):
+            e.coeffs[0, 0] = 1.0
+
+    def test_from_array_rejects_wrong_shape(self):
+        with pytest.raises(ValueError):
+            Expansion.from_array(QuditSystem((2, 3)), np.zeros((4, 4)))
+
+    def test_rejects_term_outside_system(self):
+        with pytest.raises(ValueError):
+            Expansion(QuditSystem((2, 2)), {CouplingTerm.of({0: W(3)}): 1.0})
+
+    def test_stages_scale_the_trace_offset_like_dense_evaluation(self):
+        system = QuditSystem((2, 3, 4))
+        offset_only = Expansion(system, {}, trace_offset=0.5)
+        eye = np.eye(system.total_dim)
+        for stage, arg in (
+            (stage_depolarize, (1,)),
+            (stage_full_support_filter, (0, 1, 2)),
+            (stage_cartan_filter, (0, 1, 2)),
+            (stage_permutation_filter, {1: 3, 2: 4}),
+        ):
+            program, out = stage(offset_only, arg)
+            gain = np.trace(effective_hamiltonian(program, eye, system)).real / system.total_dim
+            assert out.trace_offset == pytest.approx(0.5 * gain, rel=1e-12)
+            assert out.term_count() == 0
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(dims=mixed_dims, seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6))
+    def test_array_maps_match_dense_references(self, dims, seed, size):
+        rng = np.random.default_rng(seed)
+        system = QuditSystem(tuple(dims))
+        shape = tuple(d * d for d in dims)
+        coeffs = np.zeros(shape)
+        for flat in rng.choice(coeffs.size, size=min(size, coeffs.size), replace=False):
+            coeffs.flat[flat] = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
+        coeffs.flat[int(rng.integers(1, coeffs.size))] = 0.9
+        coeffs.flat[0] = rng.uniform(-1.0, 1.0)
+        e = Expansion.from_array(system, coeffs)
+
+        dense = reconstruct(e)
+        assert _rel_error(dense, dense_reconstruct(e)) < 1e-12
+        assert _rel_error(expand(dense, system).coeffs, e.coeffs) < 1e-11
+
+        target = min(e.coefficients, key=lambda t: (-abs(e.coefficients[t]), t))
+        canon, rotated = precondition(e, target)
+        u = canon.conjugation.matrix()
+        assert _rel_error(dense_reconstruct(rotated), u @ dense @ u.conj().T) < 1e-10
+        current = rotated.without_offset()
+        stages = (
+            lambda x: stage_depolarize(x, target.support),
+            lambda x: stage_full_support_filter(x, target.support),
+            lambda x: stage_cartan_filter(x, target.support),
+            lambda x: stage_permutation_filter(x, canon.cartan_indices),
+            lambda x: stage_ladder(x, canon.cartan_indices),
+        )
+        for stage in stages:
+            program, after = stage(current)
+            evaluated = effective_hamiltonian(program, dense_reconstruct(current), system)
+            identity_image = effective_hamiltonian(program, np.eye(system.total_dim), system)
+            _assert_stage_output(after, evaluated, identity_image, np.abs(current.coeffs).max())
+            current = after.thresholded()

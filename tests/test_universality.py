@@ -200,6 +200,15 @@ class TestReduceToTwoBody:
 
 
 class TestConnectAll:
+    def test_edges_keep_reduction_scales(self):
+        system = QuditSystem((3, 2, 2))
+        term = CouplingTerm.of({0: X(1, 2), 1: X(1, 2), 2: X(1, 2)})
+        e = Expansion(system, {term: 0.8})
+        cert = connect_all(e)
+        reduced = reduce_to_two_body(e, term, 0)
+        assert [edge.pair for edge in cert.edges] == [edge.pair for edge in reduced]
+        assert [edge.scale for edge in cert.edges] == [edge.scale for edge in reduced]
+
     def test_single_pair_system(self):
         system = QuditSystem((3, 2))
         term = CouplingTerm.of({0: X(1, 3), 1: Y(1, 2)})
