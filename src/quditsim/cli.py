@@ -57,6 +57,16 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
+def _write_artifact(args, report: dict, key: str, payload) -> None:
+    """Write ``payload()`` as JSON to ``-o``; the report then goes to stdout."""
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            json.dump(payload(), handle, sort_keys=True)
+            handle.write("\n")
+        report[key] = args.output
+        args.output = None
+
+
 def cmd_expand(args) -> int:
     expansion = parse_hamiltonian(_load_json(args.input), eps=args.eps)
     report = {"command": "expand"}
@@ -99,12 +109,7 @@ def cmd_isolate(args) -> int:
         ],
         "verification": check,
     }
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(program_to_json(result.program), handle, sort_keys=True)
-            handle.write("\n")
-        report["program_file"] = args.output
-        args.output = None  # report still goes to stdout
+    _write_artifact(args, report, "program_file", lambda: program_to_json(result.program))
     _emit(report, args)
     return EXIT_OK
 
@@ -122,26 +127,26 @@ def cmd_reduce(args) -> int:
         "anchor": args.anchor,
         "edges": [],
     }
-    payload = {"edges": []}
     for edge in edges:
         check = measure(edge.program, source, expansion.system, edge.term)._asdict()
         report["edges"].append(
             {"i": edge.i, "j": edge.j, "term": str(edge.term), **check}
         )
-        payload["edges"].append(
-            {
-                "i": edge.i,
-                "j": edge.j,
-                "term": {str(q): str(label) for q, label in edge.term.factors},
-                "program": program_to_json(edge.program),
-            }
-        )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.write("\n")
-        report["edges_file"] = args.output
-        args.output = None
+
+    def payload():
+        return {
+            "edges": [
+                {
+                    "i": edge.i,
+                    "j": edge.j,
+                    "term": {str(q): str(label) for q, label in edge.term.factors},
+                    "program": program_to_json(edge.program),
+                }
+                for edge in edges
+            ]
+        }
+
+    _write_artifact(args, report, "edges_file", payload)
     _emit(report, args)
     return EXIT_OK
 
@@ -159,12 +164,7 @@ def cmd_connect(args) -> int:
             for e in cert.edges
         ],
     }
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(certificate_to_json(cert), handle, sort_keys=True)
-            handle.write("\n")
-        report["certificate_file"] = args.output
-        args.output = None
+    _write_artifact(args, report, "certificate_file", lambda: certificate_to_json(cert))
     _emit(report, args)
     return EXIT_OK
 
@@ -231,11 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("-i", "--input", required=True, help="Hamiltonian JSON file")
+            p.add_argument("--eps", type=float, default=EPS_ZERO,
+                           help="relative coefficient threshold (default %(default)g)")
         p.add_argument("-o", "--output", help="write the main artifact to this file")
-        p.add_argument("--eps", type=float, default=EPS_ZERO,
-                       help="relative coefficient threshold (default %(default)g)")
-        p.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP,
-                       help="flat Trotter factor cap (default %(default)s)")
         p.add_argument("--timing", action="store_true",
                        help="include wall time in the report (breaks byte-identity)")
 
@@ -267,6 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", "--program", required=True, help="program JSON file")
     p.add_argument("--time", type=float, default=1.0, help="evolution time")
     p.add_argument("--steps", default="64,128,256", help="comma-separated step counts")
+    p.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP,
+                   help="flat Trotter factor cap (default %(default)s)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("demo", help="run the built-in three-qudit walkthrough")

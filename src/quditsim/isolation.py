@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorization import retarget_term, spectrum
-from .model import EPS_ZERO, CouplingTerm, Expansion, QuditSystem, site_stacks, term_at
+from .model import EPS_ZERO, CouplingTerm, Expansion, site_stacks, term_at
 from .model import reconstruct  # noqa: F401  (perfbench traces calls through this binding)
 from .operators import (
     GellMannLabel,
@@ -34,7 +34,6 @@ from .operators import (
     dagger,
     gellmann_labels,
     gellmann_matrix,
-    heisenberg_weyl,
     level_permutation,
     level_sign_flip,
 )
@@ -46,6 +45,7 @@ from .program import (
     SimulationProgram,
     Sum,
     graft,
+    pauli_branches,
 )
 
 
@@ -154,34 +154,26 @@ def _require_factors(coeffs: np.ndarray, dim: int, axis: int, allowed: np.ndarra
         raise ValueError(f"{message}{gellmann_labels(dim)[hits[0][axis] - 1]}")
 
 
-def _twirl_branches(system: QuditSystem, qudits, child) -> list:
-    """All Pauli-group conjugation branches over the given qudits."""
-    groups = [heisenberg_weyl(system.dims[j]) for j in qudits]
-    branches = []
-    for combo in itertools.product(*groups):
-        placed = dict(zip(qudits, combo))
-        branches.append((1.0, Conjugate(LocalUnitary.from_factors(system.dims, placed), child)))
-    return branches
-
-
 def stage_depolarize(
     expansion: Expansion, support
 ) -> tuple[SimulationProgram, Expansion]:
     """Full Pauli-group twirl of every qudit outside the support.
 
-    Terms leaking outside acquire a vanished traceless factor; terms
-    inside are scaled by the product of the squared outside dimensions.
+    The program nests one single-qudit twirl per outside qudit: the bare
+    child (the identity branch) plus its d^2 - 1 non-identity Pauli
+    conjugations.  Terms leaking outside acquire a vanished traceless
+    factor; terms inside are scaled by the product of the squared outside
+    dimensions.
     """
     system = expansion.system
     support = frozenset(support)
     outside = sorted(set(range(system.size)) - support)
-    if not outside:
-        return Native(1.0), expansion
     coeffs = expansion.coeffs
+    program: SimulationProgram = Native(1.0)
     for j in outside:
         d2 = system.dims[j] ** 2
         coeffs = _multiply(coeffs, (j,), d2 * (np.arange(d2) == 0))
-    program = Sum(tuple(_twirl_branches(system, outside, Native(1.0))))
+        program = Sum(((1.0, program),) + pauli_branches(system.dims, j, program))
     return program, Expansion.from_array(system, coeffs)
 
 
@@ -192,11 +184,13 @@ def stage_full_support_filter(
 
     For each ordered pair (m, j) of distinct support qudits the filter
     adds ``(d_j^2 - 1)`` times the identity to the double twirl over
-    non-identity Pauli elements on m and j.  A term traceless on m but
-    trivial on j picks up a zero there; composing over all ordered pairs
-    therefore removes every term whose support is a strict subset, with
-    only positive program weights.  Full-support terms survive with
-    factor ``prod d_j^(2(k-1))``.
+    non-identity Pauli elements on m and j, built as nested single-qudit
+    sums: ``(d_j^2 - 1) child + sum_{u_m != I} u_m (sum_{u_j != I} u_j
+    child u_j†) u_m†``.  A term traceless on m but trivial on j picks up
+    a zero there; composing over all ordered pairs therefore removes
+    every term whose support is a strict subset, with only positive
+    program weights.  Full-support terms survive with factor
+    ``prod d_j^(2(k-1))``.
     """
     system = expansion.system
     support = sorted(set(support))
@@ -216,12 +210,8 @@ def stage_full_support_filter(
                 continue
             dm2 = system.dims[m] ** 2
             dj2 = system.dims[j] ** 2
-            branches = [(float(dj2 - 1), child)]
-            for um in heisenberg_weyl(system.dims[m])[1:]:
-                for uj in heisenberg_weyl(system.dims[j])[1:]:
-                    unit = LocalUnitary.from_factors(system.dims, {m: um, j: uj})
-                    branches.append((1.0, Conjugate(unit, child)))
-            child = Sum(tuple(branches))
+            inner = Sum(pauli_branches(system.dims, j, child))
+            child = Sum(((float(dj2 - 1), child),) + pauli_branches(system.dims, m, inner))
 
             # The factor depends on whether a term is traceless on m and on j.
             corners = np.array([[dm2 * (dj2 - 1), dj2 - dm2], [0.0, dj2]])

@@ -15,8 +15,6 @@ products, the decomposition retargets one coupling term onto any other
 term with the same support, using only conjugations and positive weights.
 """
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,8 +251,11 @@ def retarget_term(
     The returned program's Native leaves stand for the source Hamiltonian
     ``source_coeff * source``; its effective Hamiltonian is exactly
     ``target_coeff * target``.  The decomposition is applied per tensor
-    factor, with the coefficient ratio folded into the first factor, so
-    every weight stays positive regardless of signs.
+    factor, as one ``Sum`` of single-qudit conjugations per support qudit
+    (the first support qudit outermost), so each path's weights multiply
+    to the weight of the matching branch of the flat product.  The
+    coefficient ratio is folded into the first factor, so every weight
+    stays positive regardless of signs.
     """
     if source.support != target.support:
         raise ValueError(
@@ -266,19 +267,17 @@ def retarget_term(
     target.validate(system)
 
     ratio = target_coeff / source_coeff
-    per_factor: list[tuple[tuple[float, np.ndarray], ...]] = []
-    for position, qudit in enumerate(source.support):
+    program: SimulationProgram = Native(1.0)
+    for position, qudit in reversed(list(enumerate(source.support))):
         d = system.dims[qudit]
         b = gellmann_matrix(d, source.label_at(qudit))
         a = gellmann_matrix(d, target.label_at(qudit))
         if position == 0:
             a = ratio * a
-        per_factor.append(uhlmann_decompose(a, b).pairs)
-
-    leaf = Native(1.0)
-    children = []
-    for combo in itertools.product(*per_factor):
-        weight = math.prod(c for c, _ in combo)
-        placed = {q: u for q, (_, u) in zip(source.support, combo)}
-        children.append((weight, Conjugate(LocalUnitary.from_factors(system.dims, placed), leaf)))
-    return Sum(tuple(children))
+        program = Sum(
+            tuple(
+                (c, Conjugate(LocalUnitary.from_factors(system.dims, {qudit: u}), program))
+                for c, u in uhlmann_decompose(a, b).pairs
+            )
+        )
+    return program

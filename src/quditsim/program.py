@@ -19,6 +19,7 @@ group-commutator sequence with a square-root time slice.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -72,13 +73,19 @@ class Local:
         require_hermitian(self.operator, "local Hamiltonian")
 
 
-@dataclass(frozen=True, eq=False)
+# The composite nodes print their children's types only: a full repr would
+# print a shared subtree once per reference, exponentially often.
+@dataclass(frozen=True, eq=False, repr=False)
 class Conjugate:
     unitary: LocalUnitary
     child: "SimulationProgram"
 
+    def __repr__(self) -> str:
+        qudits = [j for j, _ in self.unitary.placed]
+        return f"Conjugate(qudits={qudits}, child={type(self.child).__name__})"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum:
     children: tuple[tuple[float, "SimulationProgram"], ...]
 
@@ -86,11 +93,18 @@ class Sum:
         if any(not 0 < w < math.inf for w, _ in self.children):
             raise ValueError("sum weights must be finite and strictly positive")
 
+    def __repr__(self) -> str:
+        weights = [w for w, _ in self.children]
+        return f"Sum(children={len(self.children)}, weights={weights})"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Commutator:
     left: "SimulationProgram"
     right: "SimulationProgram"
+
+    def __repr__(self) -> str:
+        return f"Commutator({type(self.left).__name__}, {type(self.right).__name__})"
 
 
 SimulationProgram = Union[Native, Local, Conjugate, Sum, Commutator]
@@ -113,10 +127,10 @@ def effective_hamiltonian(
     Shared subtrees are evaluated once (results memoized by node
     identity).  A conjugation is held as a pending (unitary, child) pair;
     a Sum groups its children by the node under their conjugations and
-    applies each group as one local twirl, so the hundreds of branches of
-    an isolation stage around one shared child cost one superoperator.
-    A pending conjugation is applied on its own only when a commutator,
-    another conjugation or the caller consumes it.
+    applies each group with one ``twirl`` call, so a one-qudit twirl of a
+    shared child costs one superoperator.  A pending conjugation is
+    applied on its own only when a commutator, another conjugation or the
+    caller consumes it.
     """
     big_d = system.total_dim
     if source.shape != (big_d, big_d):
@@ -251,6 +265,21 @@ def weights_all_positive(program: SimulationProgram) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _pauli_unitaries(dims: tuple[int, ...], qudit: int) -> tuple[LocalUnitary, ...]:
+    """The non-identity Heisenberg-Weyl elements on one qudit, built once."""
+    return tuple(LocalUnitary(dims, ((qudit, u),)) for u in heisenberg_weyl(dims[qudit])[1:])
+
+
+def pauli_branches(dims, qudit: int, child: SimulationProgram) -> tuple:
+    """Unit-weight branches conjugating ``child`` by each non-identity Pauli on one qudit.
+
+    With the bare child added as the identity branch they form the full
+    depolarizing twirl ``sum_p U_p J U_p† = d tr_q(J) (x) I_q`` on that qudit.
+    """
+    return tuple((1.0, Conjugate(u, child)) for u in _pauli_unitaries(tuple(dims), qudit))
+
+
 def negate_isolated_term(term: CouplingTerm, system: QuditSystem) -> SimulationProgram:
     """Program whose effective Hamiltonian is minus the given term.
 
@@ -259,13 +288,7 @@ def negate_isolated_term(term: CouplingTerm, system: QuditSystem) -> SimulationP
     flips the sign, leaving positive weights only.
     """
     term.validate(system)
-    qudit = min(term.support)
-    child = Native(1.0)
-    branches = []
-    for u in heisenberg_weyl(system.dims[qudit])[1:]:
-        unit = LocalUnitary.from_factors(system.dims, {qudit: u})
-        branches.append((1.0, Conjugate(unit, child)))
-    return Sum(tuple(branches))
+    return Sum(pauli_branches(system.dims, min(term.support), Native(1.0)))
 
 
 def _count_factors(program: SimulationProgram) -> int:

@@ -24,14 +24,14 @@ from .model import (
     is_entangling,
     reconstruct,
 )
-from .operators import GellMannLabel, LocalUnitary, heisenberg_weyl, max_abs
+from .operators import GellMannLabel, max_abs
 from .program import (
     Commutator,
-    Conjugate,
     SimulationProgram,
     Sum,
     graft,
     measure,
+    pauli_branches,
 )
 
 
@@ -159,11 +159,7 @@ def drop_qudit(expansion: Expansion, term: CouplingTerm, qudit: int) -> DropResu
     prog_beta = graft(retarget_term(term, iso.scale, recipe_beta, 1.0, system), iso.program)
     comm = Commutator(prog_alpha, prog_beta)
 
-    branches = []
-    for u in heisenberg_weyl(system.dims[qudit]):
-        unit = LocalUnitary.from_factors(system.dims, {qudit: u})
-        branches.append((1.0, Conjugate(unit, comm)))
-    twirled = Sum(tuple(branches))
+    twirled = Sum(((1.0, comm),) + pauli_branches(system.dims, qudit, comm))
 
     # The twirl maps the shared squared factor on the dropped qudit to
     # d_q * I, leaving d_q times the remainder commutator.

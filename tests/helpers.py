@@ -23,6 +23,7 @@ from quditsim.isolation import (
     stage_permutation_filter,
 )
 from quditsim.operators import gellmann_labels
+from quditsim.program import iter_unique_nodes
 
 
 def rand_hermitian(rng, d):
@@ -122,6 +123,30 @@ def dense_effective_hamiltonian(program, source, system):
         return out
 
     return ev(program)
+
+
+def widest_shared_twirl(program):
+    """Most qudits any Sum conjugates one shared child over.
+
+    Each Sum's children are grouped by the node under their conjugation
+    (a bare child is its own node, conjugated on no qudit); a group of two
+    or more branches is one twirl.  Returns the largest number of qudits
+    such a twirl touches, 0 when there is none.
+    """
+    widest = 0
+    for node in iter_unique_nodes(program):
+        if not isinstance(node, Sum):
+            continue
+        groups = {}
+        for _, child in node.children:
+            base, qudits = child, set()
+            if isinstance(child, Conjugate):
+                base, qudits = child.child, {j for j, _ in child.unitary.placed}
+            group = groups.setdefault(id(base), [0, set()])
+            group[0] += 1
+            group[1] |= qudits
+        widest = max([widest] + [len(qudits) for count, qudits in groups.values() if count > 1])
+    return widest
 
 
 def run_staged_pipeline(expansion, target):

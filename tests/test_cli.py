@@ -169,6 +169,23 @@ class TestIsolateCommand:
         assert "threshold" in capsys.readouterr().err
 
 
+class TestOptions:
+    """Options a subcommand would ignore are not registered on it."""
+
+    def test_branch_cap_only_on_verify(self, tmp_path, capsys):
+        path = demo_input(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["isolate", "-i", path, "--term", "0:X:1:2,1:X:1:2", "--branch-cap", "5"])
+        assert exc.value.code == 2
+        assert "--branch-cap" in capsys.readouterr().err
+
+    def test_demo_takes_no_eps(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--eps", "1e-9"])
+        assert exc.value.code == 2
+        assert "--eps" in capsys.readouterr().err
+
+
 class TestConnectAndReduce:
     def test_connect_writes_certificate(self, tmp_path, capsys):
         path = demo_input(tmp_path)

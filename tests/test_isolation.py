@@ -25,7 +25,7 @@ from quditsim.isolation import (
     stage_permutation_filter,
 )
 from quditsim.operators import dagger
-from quditsim.program import Commutator, iter_unique_nodes, weights_all_positive
+from quditsim.program import Commutator, Conjugate, Sum, iter_unique_nodes, weights_all_positive
 
 from helpers import (
     cosine,
@@ -33,6 +33,7 @@ from helpers import (
     rand_term,
     rel_residual,
     run_staged_pipeline,
+    widest_shared_twirl,
 )
 
 W = GellMannLabel.w
@@ -102,6 +103,40 @@ class TestStageDepolarize:
         e = Expansion(system, {CouplingTerm.of({0: W(2)}): 0.3})
         _, out = stage_depolarize(e, (0, 1))
         assert out.coefficients == e.coefficients
+
+
+class TestTwirlStructure:
+    """The builders nest single-qudit twirls instead of flat product tables."""
+
+    def test_depolarize_nests_one_twirl_per_outside_qudit(self):
+        system = QuditSystem((3, 2, 2, 2))
+        e = Expansion(system, {CouplingTerm.of({0: W(2)}): 1.0})
+        program, _ = stage_depolarize(e, (0,))
+        nodes = list(iter_unique_nodes(program))
+        assert sum(isinstance(n, Conjugate) for n in nodes) == 9
+        assert sum(isinstance(n, Sum) for n in nodes) == 3
+        assert widest_shared_twirl(program) == 1
+
+    def test_full_support_filter_conjugates_one_qudit_per_sum(self):
+        system = QuditSystem((3, 2, 2))
+        e = Expansion(system, {CouplingTerm.of({0: W(2), 1: X(1, 2), 2: Y(1, 2)}): 1.0})
+        program, _ = stage_full_support_filter(e, (0, 1, 2))
+        assert widest_shared_twirl(program) == 1
+        # Per ordered pair (m, j): (d_m^2 - 1) + (d_j^2 - 1) conjugations.
+        conjugations = sum(isinstance(n, Conjugate) for n in iter_unique_nodes(program))
+        assert conjugations == 4 * (8 + 3) + 2 * (3 + 3)
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2, 2), (3, 3, 2), (2, 4)])
+    def test_isolation_programs_twirl_one_qudit_at_a_time(self, dims):
+        rng = np.random.default_rng(sum(dims) * 7)
+        system = QuditSystem(dims)
+        for support in [tuple(range(len(dims))), (0, len(dims) - 1)]:
+            target = rand_term(rng, system, support)
+            e = rand_expansion(rng, system, 8, ensure_term=target)
+            result = isolate_term(e, target)
+            assert widest_shared_twirl(result.program) <= 1
+            eff = effective_hamiltonian(result.program, reconstruct(e), system)
+            assert 1.0 - cosine(eff, target.matrix(system)) < 1e-9
 
 
 class TestStageFullSupport:

@@ -19,6 +19,7 @@ from quditsim import (
     Sum,
     effective_hamiltonian,
     graft,
+    heisenberg_weyl,
     hermitian_exp,
     negate_isolated_term,
     trotter_compile,
@@ -31,7 +32,7 @@ from quditsim.program import (
     product_unitary,
     weights_all_positive,
 )
-from quditsim.serialize import matrix_to_json, program_to_json
+from quditsim.serialize import matrix_to_json, program_from_json, program_to_json
 
 from helpers import dense_effective_hamiltonian, rand_hermitian
 
@@ -452,3 +453,46 @@ class TestFusedEvaluation:
         ):
             program, _ = stage(expansion)
             _assert_matches_dense(program, system.dims, rng)
+
+
+class TestReprAndFlatProgramFiles:
+    def test_repr_does_not_expand_shared_subtrees(self):
+        chain = Native(1.0)
+        for _ in range(20):
+            chain = Sum(((1.0, chain), (1.0, chain)))
+        conj = Conjugate(LocalUnitary.from_factors((2,), {0: HADAMARD}), chain)
+        for node in (chain, conj, Commutator(conj, chain)):
+            assert len(repr(node)) < 1000
+        assert repr(chain) == "Sum(children=2, weights=[1.0, 1.0])"
+
+    @staticmethod
+    def flat_file(rows):
+        """A program file with one flat Sum of conjugations of the native node.
+
+        ``rows`` holds ``(weight, {qudit: matrix})`` pairs, one per branch;
+        an empty dict is the identity branch.
+        """
+        nodes = [{"type": "native", "weight": 1.0}]
+        for _, placed in rows:
+            unitaries = {str(q): matrix_to_json(u) for q, u in placed.items()}
+            nodes.append({"type": "conjugate", "unitaries": unitaries, "child": 0})
+        children = [[w, k + 1] for k, (w, _) in enumerate(rows)]
+        nodes.append({"type": "sum", "children": children})
+        return {"format": "program-dag", "nodes": nodes, "root": len(nodes) - 1}
+
+    def test_flat_product_twirl_file(self):
+        dims = (3, 2, 2)
+        rows = [(1.0, {0: a, 2: b}) for a in heisenberg_weyl(3) for b in heisenberg_weyl(2)]
+        program = program_from_json(self.flat_file(rows), QuditSystem(dims))
+        assert len(program.children) == 36
+        _assert_matches_dense(program, dims, np.random.default_rng(310))
+
+    def test_flat_identity_plus_product_file(self):
+        dims = (3, 2, 2)
+        rows = [(3.0, {})]
+        rows += [
+            (1.0, {0: a, 1: b}) for a in heisenberg_weyl(3)[1:] for b in heisenberg_weyl(2)[1:]
+        ]
+        program = program_from_json(self.flat_file(rows), QuditSystem(dims))
+        assert len(program.children) == 25
+        _assert_matches_dense(program, dims, np.random.default_rng(311))

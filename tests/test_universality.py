@@ -21,7 +21,7 @@ from quditsim import (
     reduce_to_two_body,
 )
 
-from helpers import rel_residual
+from helpers import rel_residual, widest_shared_twirl
 
 W = GellMannLabel.w
 X = GellMannLabel.x
@@ -208,6 +208,20 @@ class TestConnectAll:
         reduced = reduce_to_two_body(e, term, 0)
         assert [edge.pair for edge in cert.edges] == [edge.pair for edge in reduced]
         assert [edge.scale for edge in cert.edges] == [edge.scale for edge in reduced]
+
+    def test_edge_programs_twirl_one_qudit_at_a_time(self):
+        system = QuditSystem((3, 2, 2, 2))
+        e = Expansion(
+            system,
+            {
+                CouplingTerm.of({0: X(1, 3), 1: X(1, 2), 2: Y(1, 2), 3: W(2)}): 0.7,
+                CouplingTerm.of({1: X(1, 2), 2: X(1, 2)}): -0.4,
+            },
+        )
+        cert = connect_all(e)
+        assert len(cert.edges) == 3
+        for edge in cert.edges:
+            assert widest_shared_twirl(edge.program) <= 1
 
     def test_single_pair_system(self):
         system = QuditSystem((3, 2))
