@@ -46,6 +46,13 @@ def _load_json(path: str) -> dict:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _load_hamiltonian(args):
+    """The ``-i`` Hamiltonian file, thresholded at ``--eps``."""
+    if not 0.0 <= args.eps < 1.0:
+        raise FileFormatError(f"--eps must be a finite number in [0, 1), got {args.eps!r}")
+    return parse_hamiltonian(_load_json(args.input), eps=args.eps)
+
+
 def _emit(report: dict, args) -> None:
     if getattr(args, "timing", False):
         report["wall_time_ms"] = round((time.perf_counter() - args._t0) * 1000.0, 3)
@@ -68,7 +75,7 @@ def _write_artifact(args, report: dict, key: str, payload) -> None:
 
 
 def cmd_expand(args) -> int:
-    expansion = parse_hamiltonian(_load_json(args.input), eps=args.eps)
+    expansion = _load_hamiltonian(args)
     report = {"command": "expand"}
     report.update(expansion_to_json(expansion))
     _emit(report, args)
@@ -76,7 +83,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    expansion = parse_hamiltonian(_load_json(args.input), eps=args.eps)
+    expansion = _load_hamiltonian(args)
     verdict = classify(expansion)
     report = {
         "command": "classify",
@@ -90,7 +97,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_isolate(args) -> int:
-    expansion = parse_hamiltonian(_load_json(args.input), eps=args.eps)
+    expansion = _load_hamiltonian(args)
     term = parse_term_spec(args.term, expansion.system)
     result = isolate_term(expansion, term, eps=args.eps)
     source = reconstruct(expansion.without_offset())
@@ -115,7 +122,7 @@ def cmd_isolate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    expansion = parse_hamiltonian(_load_json(args.input), eps=args.eps)
+    expansion = _load_hamiltonian(args)
     term = parse_term_spec(args.term, expansion.system)
     if expansion.coefficient(term) == 0.0:
         raise TermNotFoundError(f"term {term} not present in the expansion")
@@ -152,7 +159,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_connect(args) -> int:
-    expansion = parse_hamiltonian(_load_json(args.input), eps=args.eps)
+    expansion = _load_hamiltonian(args)
     cert = connect_all(expansion)
     report = {
         "command": "connect",
@@ -170,7 +177,7 @@ def cmd_connect(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    expansion = parse_hamiltonian(_load_json(args.input), eps=args.eps)
+    expansion = _load_hamiltonian(args)
     program = program_from_json(_load_json(args.program), expansion.system)
     steps_list = [int(s) for s in args.steps.split(",") if s.strip()]
     if not steps_list or any(s < 1 for s in steps_list):

@@ -46,11 +46,6 @@ def is_unitary(op: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     return max_abs(dagger(op) @ op - np.eye(op.shape[0])) < atol
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a† b)."""
-    return complex(np.sum(a.conj() * b))
-
-
 @dataclass(frozen=True, order=True)
 class GellMannLabel:
     """Label of one Gell-Mann basis matrix.
@@ -200,8 +195,12 @@ def level_permutation(dim: int, images: tuple[int, ...]) -> np.ndarray:
 def embed(dims: tuple[int, ...], placements: dict[int, np.ndarray]) -> np.ndarray:
     """Kronecker-embed per-qudit operators, identity on unplaced qudits.
 
-    Qudit 0 is the leftmost tensor factor.
+    Qudit 0 is the leftmost tensor factor.  A placement on a qudit the
+    system does not have is an error.
     """
+    outside = sorted(j for j in placements if j not in range(len(dims)))
+    if outside:
+        raise ValueError(f"qudits {outside} are not in a {len(dims)}-qudit system")
     out = np.ones((1, 1), dtype=complex)
     for j, d in enumerate(dims):
         factor = placements.get(j)
@@ -269,10 +268,6 @@ class LocalUnitary:
 
     def inverse(self) -> "LocalUnitary":
         return LocalUnitary(self.dims, tuple((j, dagger(u)) for j, u in self.placed))
-
-    def nontrivial_factors(self) -> dict[int, np.ndarray]:
-        """Factors that differ from the identity (used by serialization)."""
-        return dict(self.placed)
 
 
 def twirl(op: np.ndarray, dims: tuple[int, ...], branches) -> np.ndarray:

@@ -37,6 +37,9 @@ from .operators import (
 )
 
 DEFAULT_BRANCH_CAP = 4096
+# Largest |t|·‖H‖₂ that verify accepts.  Beyond it the round-off in the
+# phases exp(-i λ t) exceeds about 1e-8 and swamps the Trotter error.
+MAX_PHASE = 1e8
 
 
 class BranchCapExceeded(RuntimeError):
@@ -256,15 +259,6 @@ def iter_unique_nodes(program: SimulationProgram):
             stack.append((node.left, False))
 
 
-def weights_all_positive(program: SimulationProgram) -> bool:
-    for node in iter_unique_nodes(program):
-        if isinstance(node, Native) and not node.weight > 0:
-            return False
-        if isinstance(node, Sum) and any(not w > 0 for w, _ in node.children):
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _pauli_unitaries(dims: tuple[int, ...], qudit: int) -> tuple[LocalUnitary, ...]:
     """The non-identity Heisenberg-Weyl elements on one qudit, built once."""
@@ -307,6 +301,93 @@ def _count_factors(program: SimulationProgram) -> int:
     return counts[id(program)]
 
 
+def _check_steps(steps, one_step: int, branch_cap: int) -> None:
+    if not isinstance(steps, int) or steps < 1:
+        raise ValueError("steps must be a positive integer")
+    if steps * one_step > branch_cap:
+        raise BranchCapExceeded(steps * one_step, branch_cap)
+
+
+def _evolution(evals: np.ndarray, evecs: np.ndarray):
+    """``s -> exp(-i s H)`` for ``H = V diag(evals) V†``, memoised per slice ``s``."""
+    evecs_dag = dagger(evecs)
+    slices: dict[float, np.ndarray] = {}
+
+    def evolve(s: float) -> np.ndarray:
+        if s not in slices:
+            slices[s] = (evecs * np.exp(-1j * evals * s)) @ evecs_dag
+        return slices[s]
+
+    return evolve
+
+
+def _step_factors(program: SimulationProgram, dims: tuple[int, ...], tau: float):
+    """Yield one first-order Trotter step's factors in application order.
+
+    A float ``s`` stands for the Native slice ``exp(-i s H)`` of the source.
+    Every other factor is a local product unitary given as ``(qudit,
+    matrix)`` pairs: a Local leaf's ``d x d`` exponential, or a
+    conjugation's ``U†`` before its child's factors and ``U`` after them.
+    Sums interleave their children; a commutator emits the four-factor
+    group commutator with slice ``sqrt(|tau|)``.  Each Local exponential
+    (per time slice) and each inverse conjugation is built once, so a
+    factor that recurs is the same object.
+    """
+    local_exps: dict[tuple[int, float], tuple] = {}
+    inverses: dict[int, tuple] = {}
+    # Work items are a (node, time) pair to expand or a (None, factor) pair
+    # to emit, popped last-in first-out, so children are pushed in reverse.
+    work: list = [(program, tau)]
+    while work:
+        node, value = work.pop()
+        if node is None:
+            yield value
+        elif isinstance(node, Native):
+            yield node.weight * value
+        elif isinstance(node, Local):
+            key = (id(node), value)
+            if key not in local_exps:
+                local_exps[key] = ((node.qudit, hermitian_exp(node.operator, value)),)
+            yield local_exps[key]
+        elif isinstance(node, Conjugate):
+            if node.unitary.dims != dims:
+                raise ValueError("conjugation unitary does not match the system")
+            if id(node) not in inverses:
+                inverses[id(node)] = tuple((j, dagger(u)) for j, u in node.unitary.placed)
+            work += [(None, node.unitary.placed), (node.child, value), (None, inverses[id(node)])]
+        elif isinstance(node, Sum):
+            work += [(child, w * value) for w, child in reversed(node.children)]
+        elif isinstance(node, Commutator):
+            if value == 0.0:
+                continue
+            left, right = node.left, node.right
+            if value < 0.0:
+                # i[R, L] = -i[L, R]: swapping operands evolves backwards.
+                left, right, value = right, left, -value
+            delta = math.sqrt(value)
+            work += [(left, delta), (right, -delta), (left, -delta), (right, delta)]
+        else:
+            raise TypeError(f"not a program node: {node!r}")
+
+
+def _step_unitary(program: SimulationProgram, dims: tuple[int, ...], tau: float, native):
+    """One Trotter step's unitary; ``native(s)`` gives the source slice ``exp(-i s H)``.
+
+    Only Native slices are multiplied in as D x D matrices.  A local factor
+    acts on its qudit's row axis of the running product, viewed as
+    ``(left, d, rest)``, at ``d`` times ``D²`` cost.
+    """
+    big_d = math.prod(dims)
+    out = np.eye(big_d, dtype=complex)
+    for factor in _step_factors(program, dims, tau):
+        if isinstance(factor, float):
+            out = native(factor) @ out
+            continue
+        for j, u in factor:
+            out = (u @ out.reshape(math.prod(dims[:j]), dims[j], -1)).reshape(big_d, big_d)
+    return out
+
+
 def trotter_compile(
     program: SimulationProgram,
     source: np.ndarray,
@@ -315,63 +396,29 @@ def trotter_compile(
     steps: int,
     branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> list[np.ndarray]:
-    """Compile a program into unitary factors approximating exp(-i H_eff t).
+    """Compile a program into dense unitary factors approximating exp(-i H_eff t).
 
     Factors are returned in application order (index 0 acts first on the
-    state).  Sums interleave children once per step (first-order);
-    commutator nodes emit the four-factor group commutator with time slice
-    sqrt(t / steps).
+    state), one step's factors repeated ``steps`` times.  Sums interleave
+    children once per step (first-order); commutator nodes emit the
+    four-factor group commutator with time slice sqrt(t / steps).  The
+    source is diagonalised once, and factors that recur are shared.
     """
-    if not isinstance(steps, int) or steps < 1:
-        raise ValueError("steps must be a positive integer")
+    _check_steps(steps, _count_factors(program), branch_cap)
     if not math.isfinite(t):
         raise ValueError("evolution time must be finite")
     require_hermitian(source, "source Hamiltonian")
-    required = steps * _count_factors(program)
-    if required > branch_cap:
-        raise BranchCapExceeded(required, branch_cap)
+    native = _evolution(*np.linalg.eigh(source))
     dims = system.dims
-    # Exponentials and conjugation matrices are shared between the places
-    # a node recurs at the same time slice (the branches of a twirl).
-    exps: dict[tuple[int, float], np.ndarray] = {}
-    conjugations: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    dense: dict[int, np.ndarray] = {}
     out: list[np.ndarray] = []
-    # Work items are a (node, time) pair to expand or a bare factor to emit,
-    # popped last-in first-out, so children are pushed in reverse.
-    work: list = [(program, t / steps)]
-    while work:
-        item = work.pop()
-        if isinstance(item, np.ndarray):
-            out.append(item)
-            continue
-        node, tau = item
-        if isinstance(node, (Native, Local)):
-            key = (id(node), tau)
-            if key not in exps:
-                if isinstance(node, Native):
-                    exps[key] = hermitian_exp(source, node.weight * tau)
-                else:
-                    exps[key] = hermitian_exp(embed(dims, {node.qudit: node.operator}), tau)
-            out.append(exps[key])
-        elif isinstance(node, Conjugate):
-            if id(node) not in conjugations:
-                u = node.unitary.matrix()
-                conjugations[id(node)] = (dagger(u), u)
-            u_dag, u = conjugations[id(node)]
-            work += [u, (node.child, tau), u_dag]
-        elif isinstance(node, Sum):
-            work += [(child, w * tau) for w, child in reversed(node.children)]
-        elif isinstance(node, Commutator):
-            if tau == 0.0:
-                continue
-            left, right = node.left, node.right
-            if tau < 0.0:
-                # i[R, L] = -i[L, R]: swapping operands evolves backwards.
-                left, right, tau = right, left, -tau
-            delta = math.sqrt(tau)
-            work += [(left, delta), (right, -delta), (left, -delta), (right, delta)]
+    for factor in _step_factors(program, dims, float(t) / steps):
+        if isinstance(factor, float):
+            out.append(native(factor))
         else:
-            raise TypeError(f"not a program node: {node!r}")
+            if id(factor) not in dense:
+                dense[id(factor)] = embed(dims, dict(factor))
+            out.append(dense[id(factor)])
     return out * steps
 
 
@@ -395,15 +442,32 @@ def verify(
 
     For each step count the operator-norm (spectral) distance between the
     compiled product and ``exp(-i H_eff t)`` is recorded; the order
-    estimate is the mean log-ratio of consecutive errors.
+    estimate is the mean log-ratio of consecutive errors.  The source and
+    the effective Hamiltonian are each diagonalised once; one step's
+    product is built with local factors applied per qudit and raised to
+    the step count.  Times with ``|t|·‖H‖₂`` above ``MAX_PHASE`` for
+    either Hamiltonian are refused: their errors would be phase round-off.
     """
-    eff = effective_hamiltonian(program, source, system)
-    target = hermitian_exp(eff, t)
+    if not math.isfinite(t):
+        raise ValueError("evolution time must be finite")
     one_step = _count_factors(program)
+    for steps in steps_list:
+        _check_steps(steps, one_step, branch_cap)
+    eff = effective_hamiltonian(program, source, system)
+    require_hermitian(eff, "evolution generator")
+    eff_vals, eff_vecs = np.linalg.eigh(eff)
+    src_vals, src_vecs = np.linalg.eigh(source)
+    phase = abs(t) * max(max_abs(eff_vals), max_abs(src_vals))
+    if phase > MAX_PHASE:
+        raise ValueError(
+            f"|t|·‖H‖ = {phase:.3g} exceeds {MAX_PHASE:g}; "
+            "Trotter errors at this time would be phase round-off"
+        )
+    target = _evolution(eff_vals, eff_vecs)(t)
+    native = _evolution(src_vals, src_vecs)
     errors = []
     for steps in steps_list:
-        factors = trotter_compile(program, source, system, t, steps, branch_cap)
-        step_product = product_unitary(factors[:one_step], system.total_dim)
+        step_product = _step_unitary(program, system.dims, float(t) / steps, native)
         total = np.linalg.matrix_power(step_product, steps)
         errors.append((int(steps), float(np.linalg.norm(total - target, 2))))
 

@@ -186,7 +186,7 @@ def program_to_json(program: SimulationProgram) -> dict:
             record = {
                 "type": "conjugate",
                 "unitaries": {
-                    str(q): encode(u) for q, u in node.unitary.nontrivial_factors().items()
+                    str(q): encode(u) for q, u in node.unitary.placed
                 },
                 "child": index[id(node.child)],
             }
@@ -230,7 +230,18 @@ def program_from_json(data: dict, system: QuditSystem) -> SimulationProgram:
             if kind == "native":
                 node: SimulationProgram = Native(float(record["weight"]))
             elif kind == "local":
-                node = Local(int(record["qudit"]), matrix_from_json(record["operator"]))
+                qudit = record["qudit"]
+                if isinstance(qudit, bool) or qudit not in range(system.size):
+                    raise FileFormatError(
+                        f"local node qudit {qudit!r} is not in the {system.size}-qudit system"
+                    )
+                operator = matrix_from_json(record["operator"], f"operator on qudit {qudit}")
+                d = system.dims[qudit]
+                if operator.shape != (d, d):
+                    raise FileFormatError(
+                        f"operator on qudit {qudit} has shape {operator.shape}, expected ({d}, {d})"
+                    )
+                node = Local(qudit, operator)
             elif kind == "conjugate":
                 if not isinstance(record["unitaries"], dict):
                     raise FileFormatError(f"'unitaries' must be an object in {record!r}")

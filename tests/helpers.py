@@ -65,6 +65,20 @@ def rand_expansion(rng, system, n_terms, ensure_term=None):
     return Expansion(system, coeffs)
 
 
+def hs_inner(a, b):
+    """Hilbert-Schmidt inner product tr(a† b)."""
+    return complex(np.sum(a.conj() * b))
+
+
+def weights_all_positive(program):
+    for node in iter_unique_nodes(program):
+        if isinstance(node, Native) and not node.weight > 0:
+            return False
+        if isinstance(node, Sum) and any(not w > 0 for w, _ in node.children):
+            return False
+    return True
+
+
 def cosine(a, b):
     """Real Hilbert-Schmidt cosine between two operators."""
     num = float(np.sum(a.conj() * b).real)
@@ -87,7 +101,7 @@ def dense_reconstruct(expansion):
 
 def kron_unitary(unitary):
     """Dense matrix of a LocalUnitary, one np.kron per qudit."""
-    placed = unitary.nontrivial_factors()
+    placed = dict(unitary.placed)
     out = np.ones((1, 1), dtype=complex)
     for j, d in enumerate(unitary.dims):
         out = np.kron(out, placed.get(j, np.eye(d, dtype=complex)))

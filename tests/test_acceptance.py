@@ -31,10 +31,11 @@ from quditsim import (
     uhlmann_decompose,
     verify,
 )
-from quditsim.operators import dagger, hs_inner
+from quditsim.operators import dagger
 
 from helpers import (
     cosine,
+    hs_inner,
     rand_expansion,
     rand_hermitian,
     rand_support,

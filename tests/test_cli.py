@@ -381,6 +381,39 @@ class TestMalformedInputs:
             tmp_path, capsys, {"format": "program-dag", "nodes": nodes, "root": 0}
         )
 
+    def test_local_node_outside_system(self, tmp_path, capsys):
+        path = terms_file(tmp_path, "h.json", [3, 2], [{"coeff": 1.0, "factors": self.XX}])
+        z2 = [[[x, 0.0] for x in row] for row in PAULI_Z]
+        z3 = [[[x, 0.0] for x in row] for row in np.diag([1.0, -1.0, 0.0])]
+        for qudit, operator in ((7, z2), (-1, z2), (2, z2), (True, z2), (1, z3)):
+            nodes = [{"type": "local", "qudit": qudit, "operator": operator}]
+            prog_path = write_json(
+                tmp_path / "prog.json", {"format": "program-dag", "nodes": nodes, "root": 0}
+            )
+            _assert_input_error(capsys, ["verify", "-i", path, "-p", prog_path])
+
+    def test_eps_outside_unit_interval(self, tmp_path, capsys):
+        path = terms_file(tmp_path, "h.json", [2, 2], [{"coeff": 1.0, "factors": self.XX}])
+        nodes = [{"type": "native", "weight": 1.0}]
+        prog_path = write_json(
+            tmp_path / "prog.json", {"format": "program-dag", "nodes": nodes, "root": 0}
+        )
+        for eps in ("nan", "-1", "1", "inf"):
+            _assert_input_error(capsys, ["classify", "-i", path, "--eps", eps])
+            _assert_input_error(capsys, ["verify", "-i", path, "-p", prog_path, "--eps", eps])
+        assert main(["classify", "-i", path, "--eps", "0"]) == 0
+
+    def test_time_beyond_phase_round_off(self, tmp_path, capsys):
+        path = terms_file(tmp_path, "h.json", [2, 2], [{"coeff": 1.0, "factors": self.XX}])
+        nodes = [{"type": "native", "weight": 1.0}]
+        prog_path = write_json(
+            tmp_path / "prog.json", {"format": "program-dag", "nodes": nodes, "root": 0}
+        )
+        for time in ("1e308", "-1e9"):
+            _assert_input_error(
+                capsys, ["verify", "-i", path, "-p", prog_path, f"--time={time}", "--steps", "4"]
+            )
+
     def test_unitary_on_missing_qudit(self, tmp_path, capsys):
         x = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
         nodes = [

@@ -25,7 +25,7 @@ from quditsim.isolation import (
     stage_permutation_filter,
 )
 from quditsim.operators import dagger
-from quditsim.program import Commutator, Conjugate, Sum, iter_unique_nodes, weights_all_positive
+from quditsim.program import Commutator, Conjugate, Sum, iter_unique_nodes
 
 from helpers import (
     cosine,
@@ -33,6 +33,7 @@ from helpers import (
     rand_term,
     rel_residual,
     run_staged_pipeline,
+    weights_all_positive,
     widest_shared_twirl,
 )
 

@@ -21,9 +21,9 @@ from quditsim import (
     transfer_matrix,
     uhlmann_decompose,
 )
-from quditsim.program import iter_unique_nodes, weights_all_positive
+from quditsim.program import iter_unique_nodes
 
-from helpers import rand_traceless
+from helpers import rand_traceless, weights_all_positive
 
 W = GellMannLabel.w
 X = GellMannLabel.x

@@ -13,9 +13,9 @@ from quditsim import (
     level_permutation,
     level_sign_flip,
 )
-from quditsim.operators import LocalUnitary, dagger, hs_inner, is_unitary, twirl
+from quditsim.operators import LocalUnitary, dagger, is_unitary, twirl
 
-from helpers import kron_unitary, rand_hermitian, rand_traceless
+from helpers import hs_inner, kron_unitary, rand_hermitian, rand_traceless
 
 W = GellMannLabel.w
 X = GellMannLabel.x
@@ -189,6 +189,11 @@ class TestEmbed:
         with pytest.raises(ValueError):
             embed((2, 3), {0: np.eye(3, dtype=complex)})
 
+    def test_rejects_qudit_outside_system(self):
+        for qudit in (2, 7, -1):
+            with pytest.raises(ValueError, match="not in a 2-qudit system"):
+                embed((3, 2), {qudit: np.eye(2, dtype=complex)})
+
 
 class TestHermitianExp:
     def test_zero_time(self):
@@ -250,11 +255,11 @@ class TestLocalUnitary:
         rng = np.random.default_rng(11)
         u = hermitian_exp(rand_hermitian(rng, 3), 0.9)
         lu = LocalUnitary.from_factors((2, 3), {0: np.eye(2), 1: u})
-        factors = lu.nontrivial_factors()
+        factors = dict(lu.placed)
         assert list(factors) == [1] and factors[1] is u
         inverse = lu.inverse()
-        assert list(inverse.nontrivial_factors()) == [1]
-        assert np.abs(inverse.nontrivial_factors()[1] - dagger(u)).max() == 0.0
+        assert list(dict(inverse.placed)) == [1]
+        assert np.abs(dict(inverse.placed)[1] - dagger(u)).max() == 0.0
         assert np.abs(inverse.matrix() @ lu.matrix() - np.eye(6)).max() < 1e-12
 
     def test_rejects_bad_placement(self):

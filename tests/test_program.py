@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quditsim import (
@@ -27,14 +27,16 @@ from quditsim import (
 )
 from quditsim.operators import LocalUnitary, dagger
 from quditsim.program import (
+    DEFAULT_BRANCH_CAP,
     _count_factors,
+    _evolution,
+    _step_unitary,
     iter_unique_nodes,
     product_unitary,
-    weights_all_positive,
 )
 from quditsim.serialize import matrix_to_json, program_from_json, program_to_json
 
-from helpers import dense_effective_hamiltonian, rand_hermitian
+from helpers import dense_effective_hamiltonian, rand_hermitian, weights_all_positive
 
 W = GellMannLabel.w
 X = GellMannLabel.x
@@ -200,6 +202,13 @@ class TestVerify:
         )
         report = verify(program, h, system, 1.0, [1])
         assert report.trotter_errors[0][1] < 1e-10
+
+    def test_refuses_times_beyond_phase_round_off(self):
+        system = QuditSystem((2,))
+        verify(Native(1.0), PAULI_Z, system, 1e8, [4])
+        for program, t in ((Native(1.0), 1e9), (Sum(((1e3, Native(1.0)),)), -1e6)):
+            with pytest.raises(ValueError, match="phase round-off"):
+                verify(program, PAULI_Z, system, t, [4])
 
     def test_negative_time(self):
         system = QuditSystem((2,))
@@ -496,3 +505,56 @@ class TestReprAndFlatProgramFiles:
         program = program_from_json(self.flat_file(rows), QuditSystem(dims))
         assert len(program.children) == 25
         _assert_matches_dense(program, dims, np.random.default_rng(311))
+
+
+class TestStepProduct:
+    """verify's per-qudit step product against the dense trotter_compile factors."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        dims=small_dims,
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 6),
+        t=st.floats(-1.5, 1.5),
+    )
+    def test_matches_dense_factors(self, dims, seed, size, t):
+        rng = np.random.default_rng(seed)
+        dims = tuple(dims)
+        program = _random_dag(rng, dims, size)
+        assume(_count_factors(program) <= DEFAULT_BRANCH_CAP)
+        system = QuditSystem(dims)
+        h = rand_hermitian(rng, system.total_dim)
+        source = h / np.linalg.norm(h, 2)
+
+        dense = product_unitary(trotter_compile(program, source, system, t, 1), system.total_dim)
+        native = _evolution(*np.linalg.eigh(source))
+        step = _step_unitary(program, dims, t, native)
+        assert np.abs(step - dense).max() <= 1e-12
+
+        target = hermitian_exp(effective_hamiltonian(program, source, system), t)
+        ((_, error),) = verify(program, source, system, t, [1]).trotter_errors
+        assert abs(error - np.linalg.norm(dense - target, 2)) <= 1e-12
+
+    def test_two_eigendecompositions_per_verify(self, monkeypatch):
+        rng = np.random.default_rng(320)
+        dims = (3, 3, 3)
+        system = QuditSystem(dims)
+        source = rand_hermitian(rng, 27)
+        twirl = Sum(
+            ((1.0, Native(1.0)),)
+            + tuple((1.0, Conjugate(_rand_local_unitary(rng, dims, 2), Native(2.0)))
+                    for _ in range(3))
+        )
+        program = Sum(((1.0, twirl), (0.5, Commutator(_rand_local(rng, dims), twirl))))
+        eigh = np.linalg.eigh
+        sizes = []
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for steps_list in ([1], [2, 4, 8], [3, 5, 7, 11, 13]):
+            sizes.clear()
+            verify(program, source, system, 0.3, steps_list)
+            assert sizes.count(27) == 2
