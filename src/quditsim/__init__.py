@@ -74,6 +74,7 @@ from .universality import (
     ZeroCommutatorError,
     commutator_expansion,
     connect_all,
+    drop_isolated,
     drop_qudit,
     partner_term,
     reduce_to_two_body,

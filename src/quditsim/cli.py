@@ -182,6 +182,8 @@ def cmd_verify(args) -> int:
     steps_list = [int(s) for s in args.steps.split(",") if s.strip()]
     if not steps_list or any(s < 1 for s in steps_list):
         raise FileFormatError(f"--steps must list positive integers, got {args.steps!r}")
+    if args.branch_cap < 1:
+        raise FileFormatError(f"--branch-cap must be a positive integer, got {args.branch_cap}")
     source = reconstruct(expansion.without_offset())
     report_data = verify(
         program, source, expansion.system, args.time, steps_list, args.branch_cap

@@ -1,25 +1,28 @@
 """Term isolation: simulate one chosen coupling term of an expansion.
 
-The pipeline composes five stages, each a sum of local-unitary
+The pipeline composes four stages, each a sum of local-unitary
 conjugations (or, in the last stage, commutators with free local
 Hamiltonians), every one acting diagonally on the coupling-term basis:
 
 * ``D``  depolarize the qudits outside the target support, killing every
          term that leaks outside,
-* ``T``  pairwise filters over all ordered support pairs, killing every
-         strict-subset term,
 * ``Z``  level-reflection filters, killing every off-diagonal factor,
-* ``P``  prefix-permutation averages, killing diagonal factors below the
+* ``P``  cyclic-shift averages, killing diagonal factors below the
          target's level index,
 * ``X``  a commutator ladder mapping the lone survivor onto a fixed
-         off-diagonal product.
+         off-diagonal product; its commutators also vanish on every
+         term that is the identity on a support qudit.
+
+The ladder already removes strict-subset terms, so the pairwise
+full-support filter ``stage_full_support_filter`` is a library function
+outside the pipeline: its filters scale the identity and subset terms by
+more than the target, so their round-off can outgrow the target.
 
 A final per-factor retargeting step plus the inverse of the initial
 canonicalizing conjugation turn the survivor back into the requested
 term, scaled by a positive constant.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -246,13 +249,15 @@ def stage_cartan_filter(
 def stage_permutation_filter(
     expansion: Expansion, cartan_indices: dict[int, int]
 ) -> tuple[SimulationProgram, Expansion]:
-    """Prefix-permutation averages killing low diagonal factors.
+    """Cyclic-shift averages killing low diagonal factors.
 
-    Averaging over all permutations of levels ``1..b_j - 1`` distributes
-    the diagonal of any ``W:a`` with ``a < b_j`` evenly over a traceless
+    The ``b_j - 1`` cyclic shifts of levels ``1..b_j - 1`` act
+    transitively on that block, so averaging over them distributes the
+    diagonal of any ``W:a`` with ``a < b_j`` evenly over a traceless
     block, eliminating it; factors with ``a >= b_j`` are invariant and
-    get scaled by ``(b_j - 1)!``.  Requires diagonal factors (or factors
-    entirely above the permuted block) on the filtered qudits.
+    get scaled by ``b_j - 1``.  For ``b_j <= 3`` the shifts are all the
+    permutations of the block.  Requires diagonal factors (or factors
+    entirely above the shifted block) on the filtered qudits.
     """
     system = expansion.system
     child: SimulationProgram = Native(1.0)
@@ -263,7 +268,8 @@ def stage_permutation_filter(
             continue
         d = system.dims[j]
         branches = []
-        for images in itertools.permutations(range(1, b)):
+        for shift in range(b - 1):
+            images = tuple(1 + (k + shift) % (b - 1) for k in range(b - 1))
             perm = LocalUnitary.from_factors(system.dims, {j: level_permutation(d, images)})
             branches.append((1.0, Conjugate(perm, child)))
         child = Sum(tuple(branches))
@@ -273,7 +279,7 @@ def stage_permutation_filter(
         message = f"permutation filter on qudit {j} needs diagonal factors, got "
         _require_factors(coeffs, d, j, allowed, message)
         invariant = [1.0] + [float(label.a >= b) for label in labels]
-        coeffs = _multiply(coeffs, (j,), math.factorial(b - 1) * np.array(invariant))
+        coeffs = _multiply(coeffs, (j,), (b - 1) * np.array(invariant))
     return child, Expansion.from_array(system, coeffs)
 
 
@@ -315,8 +321,9 @@ def isolate_term(
 ) -> IsolationResult:
     """Compile a program simulating a positive multiple of one term.
 
-    Composes preconditioning, the D/T/Z/P/X stages and a final
-    retargeting (plus the inverse preconditioning conjugation).  The
+    Composes preconditioning, the D/Z/P/X stages and a final
+    retargeting (plus the inverse preconditioning conjugation); the
+    ``stage_reports`` name these four stages in order.  The
     stages run on the expansion divided by its largest coefficient, so
     their scale factors cannot overflow; the returned scale is the
     absolute survivor coefficient times that maximum: the product of the
@@ -344,7 +351,6 @@ def isolate_term(
     program: SimulationProgram = Conjugate(canon.conjugation, Native(1.0))
     stages = (
         ("D", lambda e: stage_depolarize(e, support)),
-        ("T", lambda e: stage_full_support_filter(e, support)),
         ("Z", lambda e: stage_cartan_filter(e, support)),
         ("P", lambda e: stage_permutation_filter(e, canon.cartan_indices)),
         ("X", lambda e: stage_ladder(e, canon.cartan_indices)),

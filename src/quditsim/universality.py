@@ -135,12 +135,30 @@ def commutator_expansion(
 def drop_qudit(expansion: Expansion, term: CouplingTerm, qudit: int) -> DropResult:
     """Simulate a coupling on the term's support with one qudit removed.
 
-    Isolates the term, retargets two copies onto the commutator recipe
-    pair that agrees on the dropped qudit, twirls that qudit with the full
-    Pauli group (turning the shared squared factor into the identity) and
-    isolates one full-support term of the remainder commutator.
+    Isolates the term once and hands the isolated program to
+    ``drop_isolated``.
     """
-    system = expansion.system
+    iso = isolate_term(expansion, term)
+    return drop_isolated(iso.program, iso.scale, term, qudit, expansion.system)
+
+
+def drop_isolated(
+    program: SimulationProgram,
+    scale: float,
+    term: CouplingTerm,
+    qudit: int,
+    system: QuditSystem,
+) -> DropResult:
+    """Drop one qudit from a term that ``program`` already simulates.
+
+    ``program`` must simulate ``scale * term`` with ``scale > 0``.  Two
+    retargeted copies become the commutator recipe pair that agrees on
+    the dropped qudit; a full Pauli twirl of that qudit turns the shared
+    squared factor into the identity.  When the remainder commutator is a
+    single term ``h * gamma`` the twirled commutator already simulates it,
+    so only a negative ``h`` needs a sign-flipping retarget; otherwise one
+    full-support term of the remainder is isolated.
+    """
     support = term.support
     if qudit not in support:
         raise ValueError(f"qudit {qudit} is not coupled by {term}")
@@ -150,13 +168,12 @@ def drop_qudit(expansion: Expansion, term: CouplingTerm, qudit: int) -> DropResu
     if all(system.dims[j] == 2 for j in rest):
         raise ValueError("the remaining qudits must not be qubits exclusively")
 
-    iso = isolate_term(expansion, term)
     x12 = GellMannLabel.x(1, 2)
     recipe_alpha = CouplingTerm.of({j: x12 for j in support})
     recipe_beta = partner_term(recipe_alpha, qudit, system)
 
-    prog_alpha = graft(retarget_term(term, iso.scale, recipe_alpha, 1.0, system), iso.program)
-    prog_beta = graft(retarget_term(term, iso.scale, recipe_beta, 1.0, system), iso.program)
+    prog_alpha = graft(retarget_term(term, scale, recipe_alpha, 1.0, system), program)
+    prog_beta = graft(retarget_term(term, scale, recipe_beta, 1.0, system), program)
     comm = Commutator(prog_alpha, prog_beta)
 
     twirled = Sum(((1.0, comm),) + pauli_branches(system.dims, qudit, comm))
@@ -171,6 +188,11 @@ def drop_qudit(expansion: Expansion, term: CouplingTerm, qudit: int) -> DropResu
     if not full:
         raise ZeroCommutatorError("remainder commutator has no full-support term")
     gamma = full[0]
+    if scaled.term_count() == 1:
+        h = scaled.coefficient(gamma)
+        if h > 0:
+            return DropResult(twirled, gamma, h)
+        return DropResult(graft(retarget_term(gamma, h, gamma, -h, system), twirled), gamma, -h)
     inner = isolate_term(scaled, gamma)
     return DropResult(graft(inner.program, twirled), gamma, inner.scale)
 
@@ -182,7 +204,10 @@ def reduce_to_two_body(
 
     For every other support qudit the remaining qudits are dropped in
     descending index order; the anchor (a non-qubit) stays in every
-    intermediate support, so the drop precondition always holds.
+    intermediate support, so the drop precondition always holds.  The
+    first drop isolates the term in the expansion; each later drop
+    starts from the previous drop's program, which already simulates its
+    one-term result, so nothing is isolated twice.
     """
     system = expansion.system
     support = term.support
@@ -200,16 +225,11 @@ def reduce_to_two_body(
             iso = isolate_term(expansion, term)
             edges.append(Edge(anchor, j, iso.program, term, iso.scale))
             continue
-        current_e = expansion
-        current_term = term
-        program: SimulationProgram | None = None
-        for q in to_drop:
-            dropped = drop_qudit(current_e, current_term, q)
-            program = dropped.program if program is None else graft(dropped.program, program)
-            current_term = dropped.term
-            current_e = Expansion(system, {dropped.term: dropped.scale}, 0.0)
-        assert set(current_term.support) == {anchor, j}
-        edges.append(Edge(anchor, j, program, current_term, current_e.coefficients[current_term]))
+        dropped = drop_qudit(expansion, term, to_drop[0])
+        for q in to_drop[1:]:
+            dropped = drop_isolated(dropped.program, dropped.scale, dropped.term, q, system)
+        assert set(dropped.term.support) == {anchor, j}
+        edges.append(Edge(anchor, j, dropped.program, dropped.term, dropped.scale))
     return edges
 
 

@@ -18,7 +18,6 @@ from quditsim.isolation import (
     precondition,
     stage_cartan_filter,
     stage_depolarize,
-    stage_full_support_filter,
     stage_ladder,
     stage_permutation_filter,
 )
@@ -184,7 +183,6 @@ def run_staged_pipeline(expansion, target):
     )
     stages = (
         ("D", lambda e: stage_depolarize(e, target.support)),
-        ("T", lambda e: stage_full_support_filter(e, target.support)),
         ("Z", lambda e: stage_cartan_filter(e, target.support)),
         ("P", lambda e: stage_permutation_filter(e, canon.cartan_indices)),
         ("X", lambda e: stage_ladder(e, canon.cartan_indices)),
@@ -204,8 +202,6 @@ def run_staged_pipeline(expansion, target):
         supports = [set(t.support) for t in current.coefficients]
         if name == "D":
             assert all(s <= support for s in supports)
-        elif name == "T":
-            assert all(s == support for s in supports)
         elif name == "Z":
             assert all(
                 label.kind == "W"

@@ -13,6 +13,7 @@ from quditsim import (
     effective_hamiltonian,
     reconstruct,
 )
+from quditsim import universality
 from quditsim.cli import main
 from quditsim.serialize import (
     FileFormatError,
@@ -150,6 +151,23 @@ class TestIsolateCommand:
         assert check["relative_residual"] < 1e-9
         assert check["cosine"] > 1 - 1e-9
 
+    def test_sixteen_level_target(self, tmp_path, capsys):
+        path = terms_file(
+            tmp_path,
+            "h.json",
+            [16, 2],
+            [
+                {"coeff": 0.9, "factors": {"0": "W:16", "1": "X:1:2"}},
+                {"coeff": 0.5, "factors": {"0": "W:3", "1": "X:1:2"}},
+                {"coeff": -0.7, "factors": {"0": "X:1:2"}},
+            ],
+        )
+        assert main(["isolate", "-i", path, "--term", "0:W:16,1:X:1:2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [s["stage"] for s in report["stages"]] == ["D", "Z", "P", "X"]
+        assert report["stages"][2]["target_scale"] == 15.0
+        assert report["verification"]["cosine"] > 1 - 1e-9
+
     def test_absent_term_exit_2(self, tmp_path, capsys):
         path = demo_input(tmp_path)
         assert main(["isolate", "-i", path, "--term", "0:W:2"]) == 2
@@ -199,6 +217,42 @@ class TestConnectAndReduce:
         assert len(cert["edges"]) == 2
         for entry in cert["edges"]:
             assert entry["program"]["format"] == "program-dag"
+
+    def test_connect_at_size_cap(self, tmp_path, capsys, monkeypatch):
+        # D = 192, one 7-qudit term and five one- or two-qudit terms.
+        path = terms_file(
+            tmp_path,
+            "b.json",
+            [3, 2, 2, 2, 2, 2, 2],
+            [
+                {
+                    "coeff": 1.100100525965654,
+                    "factors": {
+                        "0": "Y:1:3", "1": "W:2", "2": "W:2", "3": "W:2",
+                        "4": "X:1:2", "5": "Y:1:2", "6": "X:1:2",
+                    },
+                },
+                {"coeff": 0.5551466273330682, "factors": {"5": "Y:1:2"}},
+                {"coeff": -1.0622656627804279, "factors": {"3": "W:2"}},
+                {"coeff": 0.9227846732701278, "factors": {"1": "X:1:2", "6": "Y:1:2"}},
+                {"coeff": 1.1830648223096252, "factors": {"4": "Y:1:2"}},
+                {"coeff": -0.8459606655717331, "factors": {"2": "W:2"}},
+            ],
+        )
+        measured = []
+        original = universality.measure
+
+        def spy(*args):
+            result = original(*args)
+            measured.append(result.scale)
+            return result
+
+        monkeypatch.setattr(universality, "measure", spy)
+        assert main(["connect", "-i", path]) == 0
+        edges = json.loads(capsys.readouterr().out)["edges"]
+        assert len(edges) == len(measured) == 6
+        for edge, scale in zip(edges, measured):
+            assert abs(scale - edge["scale"]) <= 1e-12 * edge["scale"]
 
     def test_connect_all_qubit_exit_1(self, tmp_path, capsys):
         path = terms_file(
@@ -412,6 +466,17 @@ class TestMalformedInputs:
         for time in ("1e308", "-1e9"):
             _assert_input_error(
                 capsys, ["verify", "-i", path, "-p", prog_path, f"--time={time}", "--steps", "4"]
+            )
+
+    def test_branch_cap_below_one(self, tmp_path, capsys):
+        path = terms_file(tmp_path, "h.json", [2, 2], [{"coeff": 1.0, "factors": self.XX}])
+        nodes = [{"type": "native", "weight": 1.0}]
+        prog_path = write_json(
+            tmp_path / "prog.json", {"format": "program-dag", "nodes": nodes, "root": 0}
+        )
+        for cap in ("0", "-5"):
+            _assert_input_error(
+                capsys, ["verify", "-i", path, "-p", prog_path, "--branch-cap", cap]
             )
 
     def test_unitary_on_missing_qudit(self, tmp_path, capsys):

@@ -265,6 +265,20 @@ class TestStagePermutation:
         eff = effective_hamiltonian(program, reconstruct(e), system)
         assert rel_residual(eff, reconstruct(out)) < 1e-10
 
+    def test_cyclic_shifts_kill_every_low_w(self):
+        system = QuditSystem((6,))
+        low = {CouplingTerm.of({0: W(a)}): 0.3 * a for a in range(2, 5)}
+        high = CouplingTerm.of({0: W(5)})
+        above = CouplingTerm.of({0: W(6)})
+        e = Expansion(system, {**low, high: 1.0, above: -0.5})
+        program, out = stage_permutation_filter(e, {0: 5})
+        assert set(out.coefficients) == {high, above}
+        assert out.coefficients[high] == pytest.approx(4.0)
+        assert out.coefficients[above] == pytest.approx(-2.0)
+        assert isinstance(program, Sum) and len(program.children) == 4
+        eff = effective_hamiltonian(program, reconstruct(e), system)
+        assert rel_residual(eff, reconstruct(out)) < 1e-12
+
     def test_rejects_off_diagonal_factor_in_block(self):
         system = QuditSystem((3,))
         e = Expansion(system, {CouplingTerm.of({0: X(1, 2)}): 1.0})
@@ -342,6 +356,13 @@ class TestPipeline:
         assert result.scale == pytest.approx(product)
         eff = effective_hamiltonian(result.program, reconstruct(e), system)
         assert rel_residual(eff, result.scale * target.matrix(system)) < 1e-10
+
+    def test_reports_list_four_stages(self):
+        system = QuditSystem((4, 2, 2))
+        target = CouplingTerm.of({0: W(3), 1: X(1, 2)})
+        e = Expansion(system, {target: 0.7, CouplingTerm.of({0: W(2), 2: W(2)}): 0.4})
+        result = isolate_term(e, target)
+        assert [r.stage for r in result.stage_reports] == ["D", "Z", "P", "X"]
 
     def test_end_to_end_positive_multiple(self):
         rng = np.random.default_rng(77)

@@ -14,12 +14,17 @@ from quditsim import (
     ZeroCommutatorError,
     commutator_expansion,
     connect_all,
+    drop_isolated,
     drop_qudit,
+    isolate_term,
     effective_hamiltonian,
     partner_term,
     reconstruct,
     reduce_to_two_body,
 )
+
+from quditsim import universality
+from quditsim.program import Commutator, Sum, measure
 
 from helpers import rel_residual, widest_shared_twirl
 
@@ -142,6 +147,97 @@ class TestDropQudit:
             drop_qudit(e, alpha, 0)
 
 
+def scale_gap(program, expansion, term, scale):
+    """Relative gap between the measured and the symbolic scale."""
+    source = reconstruct(expansion.without_offset())
+    measured, resid, _ = measure(program, source, expansion.system, term)
+    assert resid < 1e-12
+    return abs(measured - scale) / scale
+
+
+def probe_q():
+    """(3,3,2,2) input whose full-support term keeps two non-qubits."""
+    system = QuditSystem((3, 3, 2, 2))
+    full = CouplingTerm.of({0: X(1, 2), 1: Y(2, 3), 2: X(1, 2), 3: W(2)})
+    e = Expansion(
+        system,
+        {
+            full: 0.9,
+            CouplingTerm.of({1: W(3)}): -0.6,
+            CouplingTerm.of({0: X(1, 3), 2: Y(1, 2)}): 0.4,
+        },
+    )
+    return e, full
+
+
+def count_isolations(monkeypatch):
+    """Record the expansions ``universality`` isolates terms of."""
+    calls = []
+
+    def spy(expansion, term, *args, **kwargs):
+        calls.append(expansion)
+        return isolate_term(expansion, term, *args, **kwargs)
+
+    monkeypatch.setattr(universality, "isolate_term", spy)
+    return calls
+
+
+def remainder_coefficient(system, support, qudit):
+    alpha = CouplingTerm.of({j: X(1, 2) for j in support})
+    beta = partner_term(alpha, qudit, system)
+    remainder = commutator_expansion(alpha.without(qudit), beta.without(qudit), system)
+    ((gamma, h),) = remainder.coefficients.items()
+    return gamma, system.dims[qudit] * h
+
+
+class TestDropIsolated:
+    def test_negative_one_term_remainder_is_retargeted(self, monkeypatch):
+        system = QuditSystem((3, 2, 2))
+        alpha = CouplingTerm.of({0: X(1, 2), 1: W(2), 2: Y(1, 2)})
+        e = Expansion(system, {alpha: 0.9, CouplingTerm.of({0: W(2)}): 0.4})
+        gamma, h = remainder_coefficient(system, alpha.support, 2)
+        assert h < 0
+        iso = isolate_term(e, alpha)
+        calls = count_isolations(monkeypatch)
+        result = drop_isolated(iso.program, iso.scale, alpha, 2, system)
+        assert calls == []
+        assert result.term == gamma
+        assert result.scale == -h
+        assert scale_gap(result.program, e, gamma, result.scale) < 1e-12
+
+    def test_positive_one_term_remainder_is_the_twirl(self, monkeypatch):
+        system = QuditSystem((3, 2, 2, 2))
+        alpha = CouplingTerm.of({0: W(3), 1: X(1, 2), 2: W(2), 3: Y(1, 2)})
+        e = Expansion(system, {alpha: -0.7, CouplingTerm.of({1: W(2), 3: W(2)}): 0.5})
+        gamma, h = remainder_coefficient(system, alpha.support, 3)
+        assert h > 0
+        iso = isolate_term(e, alpha)
+        calls = count_isolations(monkeypatch)
+        result = drop_isolated(iso.program, iso.scale, alpha, 3, system)
+        assert calls == []
+        assert result.term == gamma
+        assert result.scale == h
+        assert isinstance(result.program, Sum)
+        assert isinstance(result.program.children[0][1], Commutator)
+        assert scale_gap(result.program, e, gamma, result.scale) < 1e-12
+
+    def test_two_term_remainder_falls_back_to_isolation(self, monkeypatch):
+        e, full = probe_q()
+        calls = count_isolations(monkeypatch)
+        result = drop_qudit(e, full, 3)
+        assert calls[0] is e
+        assert [c.term_count() for c in calls[1:]] == [2]
+        assert set(result.term.support) == {0, 1, 2}
+        assert scale_gap(result.program, e, result.term, result.scale) < 1e-12
+
+    def test_probe_q_connects(self):
+        e, _ = probe_q()
+        cert = connect_all(e)
+        assert [edge.pair for edge in cert.edges] == [(0, 1), (0, 2), (0, 3)]
+        for edge in cert.edges:
+            assert scale_gap(edge.program, e, edge.term, edge.scale) < 1e-12
+
+
 class TestReduceToTwoBody:
     def test_two_body_term_is_isolation_only(self):
         system = QuditSystem((3, 2))
@@ -173,7 +269,7 @@ class TestReduceToTwoBody:
             check_effective_term(edge.program, e, edge.term)
 
     def test_star_from_multi_term_background(self):
-        # Chained drops re-isolate against huge internal scales; this
+        # Chained drops carry each drop's program into the next; this
         # guards the relative-tolerance handling in the retarget lift.
         from helpers import rand_expansion, rel_residual
 
