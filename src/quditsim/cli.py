@@ -74,6 +74,10 @@ def _write_artifact(args, report: dict, key: str, payload) -> None:
         args.output = None
 
 
+def _edge_rows(cert) -> list[dict]:
+    return [{"i": e.i, "j": e.j, "term": str(e.term), "scale": e.scale} for e in cert.edges]
+
+
 def cmd_expand(args) -> int:
     expansion = _load_hamiltonian(args)
     report = {"command": "expand"}
@@ -166,10 +170,7 @@ def cmd_connect(args) -> int:
         "verdict": cert.verdict.kind.value,
         "anchor": cert.anchor,
         "iterations": cert.iterations,
-        "edges": [
-            {"i": e.i, "j": e.j, "term": str(e.term), "scale": e.scale}
-            for e in cert.edges
-        ],
+        "edges": _edge_rows(cert),
     }
     _write_artifact(args, report, "certificate_file", lambda: certificate_to_json(cert))
     _emit(report, args)
@@ -220,10 +221,7 @@ def cmd_demo(args) -> int:
         "dims": list(system.dims),
         "terms": [str(t) for t, _ in expansion.terms()],
         "verdict": verdict.kind.value,
-        "edges": [
-            {"i": e.i, "j": e.j, "term": str(e.term), "scale": e.scale}
-            for e in cert.edges
-        ],
+        "edges": _edge_rows(cert),
         "iterations": cert.iterations,
     }
     _emit(report, args)

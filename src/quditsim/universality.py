@@ -135,11 +135,18 @@ def commutator_expansion(
 def drop_qudit(expansion: Expansion, term: CouplingTerm, qudit: int) -> DropResult:
     """Simulate a coupling on the term's support with one qudit removed.
 
-    Isolates the term once and hands the isolated program to
-    ``drop_isolated``.
+    A library entry: isolates the term and calls ``drop_isolated``.  A
+    star isolates its term once, so ``reduce_to_two_body`` never calls it.
     """
     iso = isolate_term(expansion, term)
     return drop_isolated(iso.program, iso.scale, term, qudit, expansion.system)
+
+
+def _simulating(program, term: CouplingTerm, h: float, system: QuditSystem) -> DropResult:
+    """``program`` simulates ``h * term``; the result simulates ``|h| * term``."""
+    if h > 0:
+        return DropResult(program, term, h)
+    return DropResult(graft(retarget_term(term, h, term, -h, system), program), term, -h)
 
 
 def drop_isolated(
@@ -189,10 +196,7 @@ def drop_isolated(
         raise ZeroCommutatorError("remainder commutator has no full-support term")
     gamma = full[0]
     if scaled.term_count() == 1:
-        h = scaled.coefficient(gamma)
-        if h > 0:
-            return DropResult(twirled, gamma, h)
-        return DropResult(graft(retarget_term(gamma, h, gamma, -h, system), twirled), gamma, -h)
+        return _simulating(twirled, gamma, scaled.coefficient(gamma), system)
     inner = isolate_term(scaled, gamma)
     return DropResult(graft(inner.program, twirled), gamma, inner.scale)
 
@@ -202,12 +206,9 @@ def reduce_to_two_body(
 ) -> list[Edge]:
     """Star of two-qudit coupling programs centered on the anchor.
 
-    For every other support qudit the remaining qudits are dropped in
-    descending index order; the anchor (a non-qubit) stays in every
-    intermediate support, so the drop precondition always holds.  The
-    first drop isolates the term in the expansion; each later drop
-    starts from the previous drop's program, which already simulates its
-    one-term result, so nothing is isolated twice.
+    The term is isolated once.  Partner ``j``'s edge drops every other
+    partner in descending order, keeping the non-qubit anchor in every
+    support; these drop sequences form a trie that ``_star`` walks once.
     """
     system = expansion.system
     support = term.support
@@ -217,20 +218,26 @@ def reduce_to_two_body(
         raise ValueError("the anchor must not be a qubit")
     if len(support) < 2:
         raise ValueError("reduction needs a coupling on more than one qudit")
+    iso = isolate_term(expansion, term)
+    return _star(DropResult(iso.program, term, iso.scale), anchor, system)
 
-    edges = []
-    for j in sorted(q for q in support if q != anchor):
-        to_drop = sorted((q for q in support if q not in (anchor, j)), reverse=True)
-        if not to_drop:
-            iso = isolate_term(expansion, term)
-            edges.append(Edge(anchor, j, iso.program, term, iso.scale))
-            continue
-        dropped = drop_qudit(expansion, term, to_drop[0])
-        for q in to_drop[1:]:
+
+def _star(start: DropResult, anchor: int, system: QuditSystem) -> list[Edge]:
+    """Ascending edges to the anchor's partners from one walk of the drop trie.
+
+    The head drops partners from the top; ``j``'s edge drops those below ``j``.
+    """
+    partners = sorted((q for q in start.term.support if q != anchor), reverse=True)
+    head, edges = start, []
+    for n, j in enumerate(partners):
+        if n:
+            head = drop_isolated(head.program, head.scale, head.term, partners[n - 1], system)
+        dropped = head
+        for q in partners[n + 1:]:
             dropped = drop_isolated(dropped.program, dropped.scale, dropped.term, q, system)
         assert set(dropped.term.support) == {anchor, j}
         edges.append(Edge(anchor, j, dropped.program, dropped.term, dropped.scale))
-    return edges
+    return edges[::-1]
 
 
 def connect_all(expansion: Expansion) -> UniversalityCertificate:
@@ -311,8 +318,8 @@ def _attach_all_qubit_term(
 
     Commuting a retargeted covered edge (as an X-Z type coupling on a
     non-qubit/qubit pair) against the all-X retargeted term produces a
-    single coupling with the non-qubit adjoined; reducing its star covers
-    the term's qudits.
+    single coupling ``h * bridge_term`` with the non-qubit adjoined; that
+    commutator program starts the bridge term's star without isolation.
     """
     system = expansion.system
     inside = min(j for j in beta.support if j in covered)
@@ -331,19 +338,13 @@ def _attach_all_qubit_term(
     prog_x = graft(retarget_term(beta, iso.scale, all_x, 1.0, system), iso.program)
     comm = Commutator(prog_xz, prog_x)
 
-    bridged = expand(
-        1j
-        * (
-            xz_term.matrix(system) @ all_x.matrix(system)
-            - all_x.matrix(system) @ xz_term.matrix(system)
-        ),
-        system,
-    )
+    xz, xx = xz_term.matrix(system), all_x.matrix(system)
+    bridged = expand(1j * (xz @ xx - xx @ xz), system)
     if bridged.term_count() != 1:
         raise RuntimeError("bridging commutator did not yield a single coupling term")
-    (bridge_term,) = bridged.coefficients
-    for edge in reduce_to_two_body(bridged.without_offset(), bridge_term, hub):
-        register(Edge(edge.i, edge.j, graft(edge.program, comm), edge.term, edge.scale))
+    ((bridge_term, h),) = bridged.coefficients.items()
+    for edge in _star(_simulating(comm, bridge_term, h, system), hub, system):
+        register(edge)
 
 
 def _check_certificate(system: QuditSystem, edges: list[Edge]) -> None:

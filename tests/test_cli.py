@@ -74,6 +74,21 @@ class TestExpandCommand:
         assert report["terms"] == []
         assert report["trace_offset"] == pytest.approx(1.0)
 
+    def test_default_eps_keeps_small_term(self, tmp_path, capsys):
+        z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        ham = np.kron(z, z) + 1e-10 * np.kron(x, x)
+        matrix = [[[float(v), 0.0] for v in row] for row in ham]
+        path = write_json(tmp_path / "small.json", {"dims": [2, 2], "matrix": matrix})
+        assert main(["expand", "-i", path]) == 0
+        coeffs = {
+            json.dumps(t["factors"], sort_keys=True): t["coeff"]
+            for t in json.loads(capsys.readouterr().out)["terms"]
+        }
+        big, small = coeffs['{"0": "W:2", "1": "W:2"}'], coeffs['{"0": "X:1:2", "1": "X:1:2"}']
+        assert small / big == pytest.approx(1e-10, rel=1e-6)
+        assert main(["expand", "-i", path, "--eps", "1e-9"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["terms"]) == 1
+
     def test_non_hermitian_diagnostic(self, tmp_path, capsys):
         matrix = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         path = write_json(tmp_path / "bad.json", {"dims": [2], "matrix": matrix})

@@ -22,6 +22,7 @@ from quditsim import (
     heisenberg_weyl,
     hermitian_exp,
     negate_isolated_term,
+    retarget_term,
     trotter_compile,
     verify,
 )
@@ -32,6 +33,7 @@ from quditsim.program import (
     _evolution,
     _step_unitary,
     iter_unique_nodes,
+    measure,
     product_unitary,
 )
 from quditsim.serialize import matrix_to_json, program_from_json, program_to_json
@@ -216,6 +218,31 @@ class TestVerify:
         report = verify(program, np.zeros((2, 2), dtype=complex), system, -0.1, [64, 256])
         assert report.trotter_errors[0][1] < 0.1
         assert report.trotter_errors[1][1] < report.trotter_errors[0][1]
+
+    def test_best_error_and_order_from_descending_steps(self):
+        system = QuditSystem((2,))
+        inner = Commutator(Local(0, PAULI_Z), Local(0, PAULI_X))
+        program = Sum(((1.0, inner), (1.0, Local(0, PAULI_Z))))
+        report = verify(program, np.zeros((2, 2), dtype=complex), system, 1.0, [128, 64, 32])
+        errors = report.trotter_errors
+        ratios = [
+            math.log(e1 / e2) / math.log(n2 / n1)
+            for (n1, e1), (n2, e2) in zip(errors, errors[1:])
+        ]
+        assert abs(ratios[0] - ratios[1]) > 1e-3
+        assert report.best_error == min(e for _, e in errors) < errors[-1][1]
+        assert report.order_estimate == pytest.approx(sum(ratios) / 2, rel=1e-12)
+
+
+class TestMeasure:
+    def test_negative_multiple_of_the_term(self):
+        system = QuditSystem((3, 2))
+        term = CouplingTerm.of({0: X(1, 3), 1: W(2)})
+        program = retarget_term(term, 1.0, term, -1.0, system)
+        scale, residual, cosine = measure(program, term.matrix(system), system, term)
+        assert scale == pytest.approx(-1.0, rel=1e-12)
+        assert cosine == pytest.approx(-1.0, rel=1e-12)
+        assert residual < 1e-12
 
 
 class TestGraft:

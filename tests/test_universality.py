@@ -24,7 +24,8 @@ from quditsim import (
 )
 
 from quditsim import universality
-from quditsim.program import Commutator, Sum, measure
+from quditsim.program import Commutator, Native, Sum, measure
+from quditsim.serialize import program_to_json
 
 from helpers import rel_residual, widest_shared_twirl
 
@@ -182,6 +183,19 @@ def count_isolations(monkeypatch):
     return calls
 
 
+def count_drops(monkeypatch):
+    """Record the qudits ``universality`` drops from isolated programs."""
+    calls = []
+    original = universality.drop_isolated
+
+    def spy(program, scale, term, qudit, system):
+        calls.append(qudit)
+        return original(program, scale, term, qudit, system)
+
+    monkeypatch.setattr(universality, "drop_isolated", spy)
+    return calls
+
+
 def remainder_coefficient(system, support, qudit):
     alpha = CouplingTerm.of({j: X(1, 2) for j in support})
     beta = partner_term(alpha, qudit, system)
@@ -287,6 +301,24 @@ class TestReduceToTwoBody:
             assert scale > 0
             assert rel_residual(eff, scale * target) < 1e-9
 
+    def test_star_isolates_once_and_shares_drops(self, monkeypatch):
+        system = QuditSystem((3, 2, 2, 2, 2))
+        term = CouplingTerm.of({j: X(1, 2) for j in range(5)})
+        e = Expansion(system, {term: 0.8})
+        isolations, drops = count_isolations(monkeypatch), count_drops(monkeypatch)
+        edges = reduce_to_two_body(e, term, 0)
+        # k = 4 partners: (k - 1) head drops plus k(k - 1)/2 edge drops.
+        assert (len(isolations), len(drops)) == (1, 9)
+        assert [edge.pair for edge in edges] == [(0, 1), (0, 2), (0, 3), (0, 4)]
+        monkeypatch.undo()
+        for edge in edges:
+            others = [q for q in (4, 3, 2, 1) if q != edge.j]
+            chain = drop_qudit(e, term, others[0])
+            for q in others[1:]:
+                chain = drop_isolated(chain.program, chain.scale, chain.term, q, system)
+            assert (edge.term, edge.scale) == (chain.term, chain.scale)
+            assert program_to_json(edge.program) == program_to_json(chain.program)
+
     def test_anchor_must_not_be_qubit(self):
         system = QuditSystem((3, 2, 2))
         term = CouplingTerm.of({0: X(1, 2), 1: X(1, 2), 2: X(1, 2)})
@@ -371,6 +403,23 @@ class TestConnectAll:
             connect_all(even)
         assert info.value.verdict.kind is VerdictKind.UNIVERSAL_BY_EVEN_TERM
 
+    def test_bridge_starts_from_its_commutator(self, monkeypatch):
+        # The demo input: its (1,2) crossing term couples qubits only.
+        system = QuditSystem((3, 2, 2))
+        e = Expansion(
+            system,
+            {
+                CouplingTerm.of({0: X(1, 2), 1: X(1, 2)}): 0.8,
+                CouplingTerm.of({1: X(1, 2), 2: X(1, 2)}): -0.5,
+            },
+        )
+        calls = count_isolations(monkeypatch)
+        cert = connect_all(e)
+        assert len(calls) == 2 and all(c is e for c in calls)
+        assert [edge.pair for edge in cert.edges] == [(0, 1), (0, 2)]
+        for edge in cert.edges:
+            assert scale_gap(edge.program, e, edge.term, edge.scale) < 1e-12
+
     def test_non_entangling_refused_with_witness(self):
         system = QuditSystem((3, 2))
         e = Expansion(system, {CouplingTerm.of({0: W(2)}): 1.0})
@@ -439,3 +488,23 @@ class TestConnectAll:
                 for edge in cert.edges
             )
         assert cert.iterations <= system.size - 1
+
+
+class TestCheckCertificate:
+    def edge(self, i, j, factors):
+        return universality.Edge(i, j, Native(1.0), CouplingTerm.of(factors), 1.0)
+
+    def test_qubit_without_non_qubit_partner(self):
+        system = QuditSystem((3, 2, 2))
+        edges = [
+            self.edge(0, 1, {0: X(1, 2), 1: X(1, 2)}),
+            self.edge(1, 2, {1: X(1, 2), 2: X(1, 2)}),
+        ]
+        with pytest.raises(RuntimeError, match="qubit 2 lacks"):
+            universality._check_certificate(system, edges)
+
+    def test_term_off_its_pair(self):
+        system = QuditSystem((3, 2, 2))
+        edges = [self.edge(0, 1, {0: X(1, 2), 2: X(1, 2)})]
+        with pytest.raises(RuntimeError, match="exactly its pair"):
+            universality._check_certificate(system, edges)
